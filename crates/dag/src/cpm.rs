@@ -15,15 +15,19 @@ use crate::csr::{CsrView, GraphRead};
 use crate::graph::{Dag, NodeId, TopoScratch};
 
 /// Reusable buffers for [`CpmAnalysis::recompute`] and the incremental
-/// updates ([`CpmAnalysis::apply_arc`], [`CpmAnalysis::apply_duration`]).
+/// updates ([`CpmAnalysis::apply_arc`], [`CpmAnalysis::apply_duration`]
+/// and their deferred-backward twins).
 ///
-/// The schedulers re-run CPM after every duration or dependency mutation —
-/// the single hottest path of the whole pipeline. One warm scratch makes
-/// each recomputation allocation-free, and it carries the topological
-/// order the incremental updates propagate along. A scratch is paired with
-/// the analysis it last recomputed: the incremental methods require that
-/// the same scratch was used for the previous `recompute`/`apply_*` call
-/// on the same analysis.
+/// The schedulers fold every duration or dependency mutation into the
+/// analysis — the single hottest path of the whole pipeline. One warm
+/// scratch makes each update allocation-free, and it carries the
+/// topological order the incremental updates propagate along. That order
+/// is maintained dynamically: an arc inserted against it is absorbed by a
+/// Pearce–Kelly repair that re-positions only affected nodes between its
+/// endpoints instead of forcing a full recompute. A scratch is paired
+/// with the analysis it last recomputed: the incremental methods require
+/// that the same scratch was used for the previous `recompute`/`apply_*`
+/// call on the same analysis.
 #[derive(Debug, Clone, Default)]
 pub struct CpmScratch {
     topo: TopoScratch,
@@ -36,11 +40,55 @@ pub struct CpmScratch {
     fwd: BinaryHeap<Reverse<(usize, NodeId)>>,
     /// Max-heap worklist for backward (latest-completion) propagation.
     bwd: BinaryHeap<(usize, NodeId)>,
-    /// Epoch marks deduplicating worklist pushes without an `O(V)` clear.
+    /// Epoch marks deduplicating worklist pushes (and the order repair's
+    /// depth-first searches) without an `O(V)` clear.
     stamp: Vec<u32>,
     epoch: u32,
     /// Nodes whose window changed; their critical flags need refreshing.
     dirty: Vec<NodeId>,
+    /// Order repair: the affected descendants of the new arc's head, the
+    /// affected ancestors of its tail, their pooled positions, and the
+    /// depth-first stack.
+    repair_fwd: Vec<NodeId>,
+    repair_bwd: Vec<NodeId>,
+    repair_slots: Vec<usize>,
+    repair_stack: Vec<NodeId>,
+    counters: CpmCounters,
+}
+
+/// Work done through one [`CpmScratch`], cumulative over its lifetime.
+/// Diff two snapshots with [`CpmCounters::since`] to attribute the work of
+/// a stretch of updates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CpmCounters {
+    /// Arc insertions folded in incrementally.
+    pub arcs_applied: u64,
+    /// Arc insertions that found the cached order stale and repaired it.
+    pub order_repairs: u64,
+    /// Nodes those repairs moved to a new position.
+    pub nodes_repositioned: u64,
+    /// Node re-evaluations of the forward (earliest-start) worklist.
+    pub forward_relaxations: u64,
+    /// Node re-evaluations of the backward (latest-completion) worklist
+    /// and of the whole-order backward sweeps (after a makespan move, and
+    /// at a settle).
+    pub backward_relaxations: u64,
+    /// Full recomputes: topological sort plus both passes.
+    pub full_recomputes: u64,
+}
+
+impl CpmCounters {
+    /// The work done since the `earlier` snapshot of the same scratch.
+    pub fn since(&self, earlier: &CpmCounters) -> CpmCounters {
+        CpmCounters {
+            arcs_applied: self.arcs_applied - earlier.arcs_applied,
+            order_repairs: self.order_repairs - earlier.order_repairs,
+            nodes_repositioned: self.nodes_repositioned - earlier.nodes_repositioned,
+            forward_relaxations: self.forward_relaxations - earlier.forward_relaxations,
+            backward_relaxations: self.backward_relaxations - earlier.backward_relaxations,
+            full_recomputes: self.full_recomputes - earlier.full_recomputes,
+        }
+    }
 }
 
 impl CpmScratch {
@@ -56,6 +104,119 @@ impl CpmScratch {
             self.epoch = 1;
         }
     }
+
+    /// The topological order the incremental updates propagate along (valid
+    /// for the graph of the last `recompute`/`apply_*` call).
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    /// Work counters accumulated so far.
+    pub fn counters(&self) -> CpmCounters {
+        self.counters
+    }
+
+    /// Pearce–Kelly repair (*A Dynamic Topological Sort Algorithm for
+    /// Directed Acyclic Graphs*, JEA 2006) after `dag` gained `from -> to`
+    /// with `pos[from] > pos[to]`. Only nodes positioned between the two
+    /// endpoints can be out of order: the descendants of `to` placed before
+    /// `from` (forward set) and the ancestors of `from` placed after `to`
+    /// (backward set). The two sets are disjoint (a common node would close
+    /// a cycle), so pooling their positions and handing them out backward
+    /// set first, each set in its old relative order, orders every arc
+    /// again while leaving every other node where it was.
+    fn reorder(&mut self, dag: &Dag, from: NodeId, to: NodeId) {
+        self.begin_epoch(dag.len());
+        let CpmScratch {
+            order,
+            pos,
+            stamp,
+            epoch,
+            repair_fwd,
+            repair_bwd,
+            repair_slots,
+            repair_stack,
+            counters,
+            ..
+        } = self;
+        let (lower, upper) = (pos[to as usize], pos[from as usize]);
+        collect_affected(
+            to,
+            |v| dag.succs(v),
+            |w| pos[w as usize] < upper,
+            stamp,
+            *epoch,
+            repair_stack,
+            repair_fwd,
+        );
+        collect_affected(
+            from,
+            |v| dag.preds(v),
+            |w| pos[w as usize] > lower,
+            stamp,
+            *epoch,
+            repair_stack,
+            repair_bwd,
+        );
+        repair_fwd.sort_unstable_by_key(|&v| pos[v as usize]);
+        repair_bwd.sort_unstable_by_key(|&v| pos[v as usize]);
+        repair_slots.clear();
+        repair_slots.extend(
+            repair_bwd
+                .iter()
+                .chain(repair_fwd.iter())
+                .map(|&v| pos[v as usize]),
+        );
+        repair_slots.sort_unstable();
+        for (&slot, &v) in repair_slots
+            .iter()
+            .zip(repair_bwd.iter().chain(repair_fwd.iter()))
+        {
+            order[slot] = v;
+            pos[v as usize] = slot;
+        }
+        counters.order_repairs += 1;
+        counters.nodes_repositioned += repair_slots.len() as u64;
+    }
+}
+
+/// Depth-first collection into `out` of `start` and every node reachable
+/// from it through `next` that satisfies `in_range`, marking each in the
+/// current `epoch` so no node is collected twice.
+fn collect_affected<'g>(
+    start: NodeId,
+    next: impl Fn(NodeId) -> &'g [NodeId],
+    in_range: impl Fn(NodeId) -> bool,
+    stamp: &mut [u32],
+    epoch: u32,
+    stack: &mut Vec<NodeId>,
+    out: &mut Vec<NodeId>,
+) {
+    out.clear();
+    stack.clear();
+    stamp[start as usize] = epoch;
+    stack.push(start);
+    while let Some(v) = stack.pop() {
+        out.push(v);
+        for &w in next(v) {
+            if stamp[w as usize] != epoch && in_range(w) {
+                stamp[w as usize] = epoch;
+                stack.push(w);
+            }
+        }
+    }
+}
+
+/// How an incremental update treats the backward half of the analysis
+/// (latest completions, makespan, critical flags).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Backward {
+    /// Brought up to date with the forward half: the analysis stays fully
+    /// consistent.
+    Eager,
+    /// Left stale until [`CpmAnalysis::settle`]; only earliest starts are
+    /// maintained.
+    Deferred,
 }
 
 /// Result of a CPM pass.
@@ -80,6 +241,9 @@ pub struct CpmAnalysis {
     pub makespan: Time,
     /// `critical[v]` iff node `v` has zero slack.
     pub critical: Vec<bool>,
+    /// Set by a deferred-backward update: `windows[..].max`, `makespan`
+    /// and `critical` are stale until [`CpmAnalysis::settle`].
+    backward_stale: bool,
 }
 
 impl CpmAnalysis {
@@ -155,8 +319,10 @@ impl CpmAnalysis {
             t_min,
             t_max,
             pos,
+            counters,
             ..
         } = scratch;
+        counters.full_recomputes += 1;
         pos.clear();
         pos.resize(n, 0);
         for (i, &v) in order.iter().enumerate() {
@@ -195,22 +361,24 @@ impl CpmAnalysis {
             self.critical.push(t_max[v] - t_min[v] == durations[v]);
         }
         self.makespan = makespan;
+        self.backward_stale = false;
     }
 
     /// Incremental update after `dag.add_edge(from, to)` succeeded: the
     /// earliest starts downstream of `to` and the latest completions
     /// upstream of `from` are re-propagated along the cached topological
-    /// order, touching only the nodes whose values actually move. Falls
-    /// back to a full [`CpmAnalysis::recompute`] when the cached order no
-    /// longer orders the new arc or the makespan changes (which shifts
-    /// every horizon-clamped latest completion).
+    /// order, touching only the nodes whose values actually move. An arc
+    /// against the cached order first repairs the order (Pearce–Kelly, see
+    /// [`CpmScratch`]); a moved makespan shifts every horizon-clamped
+    /// latest completion, so it redoes the backward half along the order.
     ///
     /// `scratch` must be the one used for the previous
     /// `recompute`/`apply_*` call on this analysis, with `dag` unchanged
-    /// since except for arcs already applied through this method (and arc
+    /// since except for arcs already applied through these methods (and arc
     /// removals via rollback, which never invalidate the order). Results
     /// are byte-identical to a full recompute — earliest/latest times are
-    /// the unique fixed point of the window equations.
+    /// the unique fixed point of the window equations, whatever valid
+    /// order they are propagated along.
     pub fn apply_arc(
         &mut self,
         dag: &Dag,
@@ -219,22 +387,23 @@ impl CpmAnalysis {
         to: NodeId,
         scratch: &mut CpmScratch,
     ) {
-        let n = dag.len();
-        if scratch.order.len() != n
-            || self.windows.len() != n
-            || scratch.pos[from as usize] >= scratch.pos[to as usize]
-        {
-            self.recompute(dag, durations, None, scratch);
-            return;
-        }
-        debug_assert!(order_is_valid(dag, &scratch.pos));
-        scratch.dirty.clear();
-        self.propagate_forward(dag, durations, [to], scratch);
-        if self.refresh_makespan(durations, dag, scratch) {
-            return;
-        }
-        self.propagate_backward(dag, durations, [from], scratch);
-        self.refresh_dirty_critical(durations, scratch);
+        self.update_arc(dag, durations, from, to, Backward::Eager, scratch);
+    }
+
+    /// [`CpmAnalysis::apply_arc`] maintaining the earliest starts only:
+    /// latest completions, the makespan and the critical flags are left
+    /// stale (see [`CpmAnalysis::is_settled`]) until
+    /// [`CpmAnalysis::settle`] brings them up to date in one pass. For
+    /// stretches of updates that read only `windows[..].min`.
+    pub fn apply_arc_deferred(
+        &mut self,
+        dag: &Dag,
+        durations: &[Time],
+        from: NodeId,
+        to: NodeId,
+        scratch: &mut CpmScratch,
+    ) {
+        self.update_arc(dag, durations, from, to, Backward::Deferred, scratch);
     }
 
     /// Incremental update after `durations[v]` changed (in either
@@ -250,8 +419,95 @@ impl CpmAnalysis {
         v: NodeId,
         scratch: &mut CpmScratch,
     ) {
+        self.update_duration(dag, durations, v, Backward::Eager, scratch);
+    }
+
+    /// [`CpmAnalysis::apply_duration`] maintaining the earliest starts
+    /// only, like [`CpmAnalysis::apply_arc_deferred`].
+    pub fn apply_duration_deferred(
+        &mut self,
+        dag: &Dag,
+        durations: &[Time],
+        v: NodeId,
+        scratch: &mut CpmScratch,
+    ) {
+        self.update_duration(dag, durations, v, Backward::Deferred, scratch);
+    }
+
+    /// False while a deferred update has left the latest completions, the
+    /// makespan and the critical flags stale.
+    pub fn is_settled(&self) -> bool {
+        !self.backward_stale
+    }
+
+    /// Brings the backward half up to date after deferred updates: the
+    /// makespan is rescanned and one backward sweep along the maintained
+    /// order recomputes every latest completion and critical flag — `O(V +
+    /// E)`, no topological sort. A no-op on a settled analysis. Same
+    /// scratch-pairing contract as the incremental updates.
+    pub fn settle(&mut self, dag: &Dag, durations: &[Time], scratch: &mut CpmScratch) {
+        if self.backward_stale {
+            self.makespan = self.scan_makespan(durations);
+            self.backward_sweep(dag, durations, scratch);
+        }
+    }
+
+    /// True when `scratch` still holds this analysis' order for `dag`; a
+    /// mismatch (first use, or a different graph) takes a full recompute.
+    fn paired(&self, dag: &Dag, scratch: &CpmScratch) -> bool {
         let n = dag.len();
-        if scratch.order.len() != n || self.windows.len() != n {
+        scratch.order.len() == n && self.windows.len() == n
+    }
+
+    fn update_arc(
+        &mut self,
+        dag: &Dag,
+        durations: &[Time],
+        from: NodeId,
+        to: NodeId,
+        backward: Backward,
+        scratch: &mut CpmScratch,
+    ) {
+        scratch.counters.arcs_applied += 1;
+        if !self.paired(dag, scratch) {
+            self.recompute(dag, durations, None, scratch);
+            return;
+        }
+        if scratch.pos[from as usize] > scratch.pos[to as usize] {
+            scratch.reorder(dag, from, to);
+        }
+        debug_assert!(order_is_valid(dag, &scratch.pos));
+        scratch.dirty.clear();
+        self.propagate_forward(dag, durations, [to], scratch);
+        if backward == Backward::Deferred {
+            // Even an arc that moves no earliest start tightens `from`'s
+            // latest completion.
+            self.backward_stale = true;
+            return;
+        }
+        let makespan = if self.backward_stale {
+            self.scan_makespan(durations)
+        } else {
+            // An arc only lengthens paths: the makespan can only grow, and
+            // only through a node the forward pass moved.
+            scratch
+                .dirty
+                .iter()
+                .map(|&x| self.windows[x as usize].min + durations[x as usize])
+                .fold(self.makespan, Time::max)
+        };
+        self.update_backward(dag, durations, makespan, [from], scratch);
+    }
+
+    fn update_duration(
+        &mut self,
+        dag: &Dag,
+        durations: &[Time],
+        v: NodeId,
+        backward: Backward,
+        scratch: &mut CpmScratch,
+    ) {
+        if !self.paired(dag, scratch) {
             self.recompute(dag, durations, None, scratch);
             return;
         }
@@ -259,11 +515,40 @@ impl CpmAnalysis {
         scratch.dirty.clear();
         scratch.dirty.push(v); // own slack uses the new duration
         self.propagate_forward(dag, durations, dag.succs(v).iter().copied(), scratch);
-        if self.refresh_makespan(durations, dag, scratch) {
+        if backward == Backward::Deferred {
+            self.backward_stale = true;
             return;
         }
-        self.propagate_backward(dag, durations, dag.preds(v).iter().copied(), scratch);
-        self.refresh_dirty_critical(durations, scratch);
+        // A shorter duration can shrink the makespan: rescan.
+        let makespan = self.scan_makespan(durations);
+        self.update_backward(
+            dag,
+            durations,
+            makespan,
+            dag.preds(v).iter().copied(),
+            scratch,
+        );
+    }
+
+    /// The eager backward half of an update whose forward pass left the
+    /// new `makespan`: latest completions re-propagate from `seeds` while
+    /// the horizon holds still; a moved horizon (or a stale backward half)
+    /// takes the whole-order sweep instead.
+    fn update_backward(
+        &mut self,
+        dag: &Dag,
+        durations: &[Time],
+        makespan: Time,
+        seeds: impl IntoIterator<Item = NodeId>,
+        scratch: &mut CpmScratch,
+    ) {
+        if self.backward_stale || makespan != self.makespan {
+            self.makespan = makespan;
+            self.backward_sweep(dag, durations, scratch);
+        } else {
+            self.propagate_backward(dag, durations, seeds, scratch);
+            self.refresh_dirty_critical(durations, scratch);
+        }
     }
 
     /// Worklist pass in ascending topological position: each popped node
@@ -283,6 +568,7 @@ impl CpmAnalysis {
             scratch.fwd.push(Reverse((scratch.pos[s as usize], s)));
         }
         while let Some(Reverse((_, x))) = scratch.fwd.pop() {
+            scratch.counters.forward_relaxations += 1;
             let es = dag
                 .preds(x)
                 .iter()
@@ -319,6 +605,7 @@ impl CpmAnalysis {
             scratch.bwd.push((scratch.pos[s as usize], s));
         }
         while let Some((_, x)) = scratch.bwd.pop() {
+            scratch.counters.backward_relaxations += 1;
             let lc = dag
                 .succs(x)
                 .iter()
@@ -338,38 +625,34 @@ impl CpmAnalysis {
         }
     }
 
-    /// Rescans the makespan after a forward pass. On change, the horizon
-    /// every slack-free latest completion is clamped to moves, so the
-    /// whole backward half is redone along the cached order (and every
-    /// critical flag with it); returns `true` in that case.
-    fn refresh_makespan(
-        &mut self,
-        durations: &[Time],
-        dag: &Dag,
-        scratch: &mut CpmScratch,
-    ) -> bool {
-        let n = dag.len();
-        let makespan = (0..n)
-            .map(|v| self.windows[v].min + durations[v])
+    /// Length of the longest path under the current earliest starts.
+    fn scan_makespan(&self, durations: &[Time]) -> Time {
+        self.windows
+            .iter()
+            .zip(durations)
+            .map(|(w, &d)| w.min + d)
             .max()
-            .unwrap_or(0);
-        if makespan == self.makespan {
-            return false;
-        }
-        self.makespan = makespan;
+            .unwrap_or(0)
+    }
+
+    /// Recomputes every latest completion against `self.makespan` in one
+    /// sweep down the cached order, then every critical flag; leaves the
+    /// analysis settled.
+    fn backward_sweep(&mut self, dag: &Dag, durations: &[Time], scratch: &mut CpmScratch) {
         for &x in scratch.order.iter().rev() {
             let lc = dag
                 .succs(x)
                 .iter()
                 .map(|&s| self.windows[s as usize].max - durations[s as usize])
                 .min()
-                .unwrap_or(makespan);
+                .unwrap_or(self.makespan);
             self.windows[x as usize].max = lc;
         }
+        scratch.counters.backward_relaxations += scratch.order.len() as u64;
         for (v, w) in self.windows.iter().enumerate() {
             self.critical[v] = w.max - w.min == durations[v];
         }
-        true
+        self.backward_stale = false;
     }
 
     /// Refreshes the critical flag of every node whose window (or own
@@ -384,6 +667,7 @@ impl CpmAnalysis {
     /// Extracts one critical path (source to sink through zero-slack nodes),
     /// deterministically preferring smaller node ids.
     pub fn critical_path(&self, dag: &Dag, durations: &[Time]) -> Vec<NodeId> {
+        debug_assert!(self.is_settled(), "critical flags read before settle");
         let n = dag.len();
         if n == 0 {
             return Vec::new();
@@ -587,18 +871,60 @@ mod tests {
     }
 
     #[test]
-    fn apply_arc_against_stale_order_falls_back() {
+    fn apply_arc_against_stale_order_repairs_order() {
         // Node ids against topological direction: the cached order (by id)
-        // cannot order the new arc 2 -> 0, forcing the full-recompute
-        // fallback — which must still produce the exact analysis.
+        // cannot order the new arc 2 -> 0, so the Pearce–Kelly repair moves
+        // the ancestors of 2 ahead of 0 — no full recompute — and the
+        // analysis must still be exact.
         let mut dag = Dag::with_nodes(3);
         dag.add_edge(1, 2).unwrap();
         let durations = vec![5, 3, 2];
         let mut scratch = CpmScratch::default();
         let mut cpm = CpmAnalysis::default();
         cpm.recompute(&dag, &durations, None, &mut scratch);
+        let before = scratch.counters();
         dag.add_edge(2, 0).unwrap();
         cpm.apply_arc(&dag, &durations, 2, 0, &mut scratch);
+        assert_eq!(cpm, CpmAnalysis::run(&dag, &durations));
+        assert_eq!(scratch.order(), &[1, 2, 0]);
+        let work = scratch.counters().since(&before);
+        assert_eq!((work.order_repairs, work.nodes_repositioned), (1, 3));
+        assert_eq!(work.full_recomputes, 0);
+    }
+
+    #[test]
+    fn order_repair_moves_only_the_affected_span() {
+        // Chain 1 -> 2 -> 3 plus free nodes 0 and 4, ordered by id. The arc
+        // 4 -> 1 moves the backward set {4} ahead of the forward set
+        // {1, 2, 3} within their pooled positions; 0 keeps its place.
+        let mut dag = Dag::with_nodes(5);
+        dag.add_edge(1, 2).unwrap();
+        dag.add_edge(2, 3).unwrap();
+        let durations = vec![1, 1, 1, 1, 9];
+        let mut scratch = CpmScratch::default();
+        let mut cpm = CpmAnalysis::default();
+        cpm.recompute(&dag, &durations, None, &mut scratch);
+        assert_eq!(scratch.order(), &[0, 1, 2, 3, 4]);
+        dag.add_edge(4, 1).unwrap();
+        cpm.apply_arc(&dag, &durations, 4, 1, &mut scratch);
+        assert_eq!(scratch.order(), &[0, 4, 1, 2, 3]);
+        assert_eq!(cpm, CpmAnalysis::run(&dag, &durations));
+    }
+
+    #[test]
+    fn eager_update_after_deferred_ones_is_consistent() {
+        // An eager update on a stale analysis must settle it, not patch
+        // stale latest completions.
+        let (mut dag, durations) = diamond();
+        let mut scratch = CpmScratch::default();
+        let mut cpm = CpmAnalysis::default();
+        cpm.recompute(&dag, &durations, None, &mut scratch);
+        dag.add_edge(1, 2).unwrap();
+        cpm.apply_arc_deferred(&dag, &durations, 1, 2, &mut scratch);
+        assert!(!cpm.is_settled());
+        dag.add_edge(0, 3).unwrap();
+        cpm.apply_arc(&dag, &durations, 0, 3, &mut scratch);
+        assert!(cpm.is_settled());
         assert_eq!(cpm, CpmAnalysis::run(&dag, &durations));
     }
 

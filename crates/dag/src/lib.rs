@@ -29,7 +29,7 @@ pub mod graph;
 pub mod levels;
 pub mod reach;
 
-pub use cpm::{CpmAnalysis, CpmScratch};
+pub use cpm::{CpmAnalysis, CpmCounters, CpmScratch};
 pub use csr::{CsrView, GraphRead};
 pub use graph::{CycleError, Dag, DagCheckpoint, NodeId, TopoScratch};
 pub use levels::LevelProfile;

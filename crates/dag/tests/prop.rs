@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use prfpga_dag::{reach, CpmAnalysis, CpmScratch, CsrView, Dag, ReachIndex};
+use prfpga_dag::{reach, CpmAnalysis, CpmScratch, CsrView, Dag, NodeId, ReachIndex};
 use prfpga_model::Time;
 
 /// Strategy: a random DAG on `n` nodes where edges only go from lower to
@@ -22,6 +22,27 @@ fn random_dag() -> impl Strategy<Value = (Dag, Vec<Time>)> {
             (dag, durs)
         })
     })
+}
+
+/// True when `order` is a permutation of `dag`'s nodes placing every arc's
+/// tail before its head.
+fn orders_every_arc(dag: &Dag, order: &[NodeId]) -> bool {
+    let mut pos = vec![usize::MAX; dag.len()];
+    for (i, &v) in order.iter().enumerate() {
+        pos[v as usize] = i;
+    }
+    order.len() == dag.len()
+        && pos.iter().all(|&p| p != usize::MAX)
+        && (0..dag.len() as NodeId).all(|v| {
+            dag.succs(v)
+                .iter()
+                .all(|&s| pos[v as usize] < pos[s as usize])
+        })
+}
+
+/// Earliest starts of an analysis.
+fn earliest_starts(cpm: &CpmAnalysis) -> Vec<Time> {
+    cpm.windows.iter().map(|w| w.min).collect()
 }
 
 proptest! {
@@ -118,6 +139,75 @@ proptest! {
             }
             prop_assert_eq!(&cpm, &CpmAnalysis::run(&dag, &durs), "step {}", step);
         }
+    }
+
+    /// Arcs inserted in arbitrary direction — most of them against the
+    /// cached order — are absorbed by the dynamic order repair: after every
+    /// step the cached order still orders every arc and the analysis equals
+    /// a from-scratch run, without a single full recompute.
+    #[test]
+    fn incremental_cpm_repairs_order_for_arbitrary_arcs(
+        (mut dag, mut durs) in random_dag(),
+        muts in proptest::collection::vec((0usize..40, 0usize..40, 0u64..1000), 1..40),
+    ) {
+        let n = dag.len();
+        let mut scratch = CpmScratch::default();
+        let mut cpm = CpmAnalysis::default();
+        cpm.recompute(&dag, &durs, None, &mut scratch);
+        let start = scratch.counters();
+        for (step, (a, b, d)) in muts.into_iter().enumerate() {
+            let (a, b) = (a % n, b % n);
+            if d % 3 != 0 {
+                // Skipped when `add_edge` rejects it (self-loop or cycle).
+                if dag.add_edge(a as NodeId, b as NodeId).is_err() {
+                    continue;
+                }
+                cpm.apply_arc(&dag, &durs, a as NodeId, b as NodeId, &mut scratch);
+            } else {
+                durs[a] = d;
+                cpm.apply_duration(&dag, &durs, a as NodeId, &mut scratch);
+            }
+            prop_assert!(orders_every_arc(&dag, scratch.order()), "step {}", step);
+            prop_assert_eq!(&cpm, &CpmAnalysis::run(&dag, &durs), "step {}", step);
+        }
+        prop_assert_eq!(scratch.counters().since(&start).full_recomputes, 0);
+    }
+
+    /// The deferred-backward updates keep every earliest start exact after
+    /// every step of the same arbitrary-direction sequence, and settling
+    /// (at random points and at the end) restores the whole analysis.
+    #[test]
+    fn deferred_cpm_keeps_earliest_starts_and_settles(
+        (mut dag, mut durs) in random_dag(),
+        muts in proptest::collection::vec((0usize..40, 0usize..40, 0u64..1000), 1..40),
+    ) {
+        let n = dag.len();
+        let mut scratch = CpmScratch::default();
+        let mut cpm = CpmAnalysis::default();
+        cpm.recompute(&dag, &durs, None, &mut scratch);
+        let start = scratch.counters();
+        for (step, (a, b, d)) in muts.into_iter().enumerate() {
+            let (a, b) = (a % n, b % n);
+            if d % 3 != 0 {
+                if dag.add_edge(a as NodeId, b as NodeId).is_err() {
+                    continue;
+                }
+                cpm.apply_arc_deferred(&dag, &durs, a as NodeId, b as NodeId, &mut scratch);
+            } else {
+                durs[a] = d;
+                cpm.apply_duration_deferred(&dag, &durs, a as NodeId, &mut scratch);
+            }
+            prop_assert!(orders_every_arc(&dag, scratch.order()), "step {}", step);
+            let oracle = CpmAnalysis::run(&dag, &durs);
+            prop_assert_eq!(earliest_starts(&cpm), earliest_starts(&oracle), "step {}", step);
+            if d % 5 == 0 {
+                cpm.settle(&dag, &durs, &mut scratch);
+                prop_assert_eq!(&cpm, &oracle, "settled at step {}", step);
+            }
+        }
+        cpm.settle(&dag, &durs, &mut scratch);
+        prop_assert_eq!(&cpm, &CpmAnalysis::run(&dag, &durs));
+        prop_assert_eq!(scratch.counters().since(&start).full_recomputes, 0);
     }
 
     /// The CSR + bitset-closure fast paths agree with the journaled

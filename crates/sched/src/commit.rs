@@ -20,11 +20,14 @@
 //!
 //! [`SchedulerConfig::solve_commit`]: crate::SchedulerConfig::solve_commit
 
+use std::time::Instant;
+
 use prfpga_model::Schedule;
 use prfpga_timeline::Timeline;
 
 use crate::phases::reconf;
 use crate::state::SchedState;
+use crate::trace::Phase;
 
 /// Name of the batch pipeline's single commit window.
 pub const BATCH_CHECKPOINT: &str = "batch";
@@ -39,6 +42,7 @@ pub(crate) fn commit_batch(
     module_reuse: bool,
     icap: &mut Timeline,
 ) -> Schedule {
+    let t0 = Instant::now();
     icap.reset(0, 0, state.controller_lanes());
     icap.checkpoint(BATCH_CHECKPOINT);
     let schedule = reconf::realize_schedule_prepared(state, module_reuse, icap);
@@ -46,6 +50,7 @@ pub(crate) fn commit_batch(
         .commit(BATCH_CHECKPOINT)
         .expect("the batch checkpoint was opened above");
     state.observer.batch_committed(edits as u64);
+    state.observer.phase_finished(Phase::Reconf, t0.elapsed());
     schedule
 }
 

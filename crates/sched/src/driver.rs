@@ -441,14 +441,16 @@ pub(crate) fn solve_in<'a>(
     state.platform = virtual_platform;
     state.observer = observer.clone();
     // The workspace-reuse fast path also maintains CPM incrementally per
-    // mutation instead of recomputing from scratch; identical windows
-    // either way, so `workspace_reuse: false` stays a faithful
-    // fresh-allocation oracle for the differential tests.
+    // mutation (earliest starts only, settled once at the end of phase F)
+    // instead of recomputing from scratch; identical windows either way,
+    // so `workspace_reuse: false` stays a faithful fresh-allocation oracle
+    // for the differential tests.
     state.incremental = config.workspace_reuse;
 
     // Fabric partition — assigns tasks to platform fabrics ahead of region
     // formation (no-op, and untraced, without a platform).
     partition::partition_tasks(&mut state);
+    let cpm_before = state.cpm_counters();
 
     // Phase C — regions definition.
     regions::define_regions(&mut state, ordering);
@@ -461,8 +463,9 @@ pub(crate) fn solve_in<'a>(
     // Phase E — start/end anchoring is implicit: every consumer below works
     // from the current CPM windows (`T_START = T_MIN`).
 
-    // Phase F — software task mapping.
+    // Phase F — software task mapping; ends by settling the CPM analysis.
     sw_map::map_software_tasks(&mut state);
+    observer.cpm_stats(state.cpm_counters().since(&cpm_before));
 
     state
 }

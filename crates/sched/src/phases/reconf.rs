@@ -20,7 +20,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use prfpga_dag::CpmAnalysis;
 use prfpga_model::{
     Placement, Reconfiguration, Region, RegionId, Schedule, TaskAssignment, TaskId, Time,
     TimeWindow,
@@ -59,25 +58,30 @@ pub fn realize_schedule_in(
     module_reuse: bool,
     icap: &mut Timeline,
 ) -> Schedule {
+    let t0 = Instant::now();
     icap.reset(0, 0, state.controller_lanes());
-    realize_schedule_prepared(state, module_reuse, icap)
+    let schedule = realize_schedule_prepared(state, module_reuse, icap);
+    state.observer.phase_finished(Phase::Reconf, t0.elapsed());
+    schedule
 }
 
 /// The timing-realization pass against an already-reset controller
 /// timeline. The commit layer calls this directly so it can open a named
 /// journal checkpoint between the reset and the first reservation;
 /// [`realize_schedule_in`] is the reset-then-realize convenience wrapper.
+/// Both callers time the whole of phase G, controller reset and journal
+/// included.
 pub(crate) fn realize_schedule_prepared(
     state: &SchedState<'_>,
     module_reuse: bool,
     icap: &mut Timeline,
 ) -> Schedule {
-    let t0 = Instant::now();
     let n = state.inst.graph.len();
 
     // Criticality of the fully-sequenced graph decides reconfiguration
-    // priority.
-    let cpm = CpmAnalysis::run(&state.dag, &state.durations);
+    // priority; phase F left the analysis settled over that graph.
+    debug_assert!(state.cpm.is_settled(), "phase G needs settled criticality");
+    let critical = &state.cpm.critical;
 
     // Plan reconfigurations: between subsequent tasks of each region.
     let mut planned: Vec<PlannedRec> = Vec::new();
@@ -95,7 +99,7 @@ pub(crate) fn realize_schedule_prepared(
                 t_in: pair[0],
                 t_out: pair[1],
                 duration: dur,
-                critical: cpm.critical[pair[1].index()],
+                critical: critical[pair[1].index()],
             });
         }
     }
@@ -274,7 +278,6 @@ pub(crate) fn realize_schedule_prepared(
         core.reservations + ctrl.reservations,
         core.gap_queries + ctrl.gap_queries,
     );
-    state.observer.phase_finished(Phase::Reconf, t0.elapsed());
     schedule
 }
 

@@ -7,7 +7,10 @@
 //! writes `min`, which would make every delay non-positive and contradicts
 //! steps 3–4 of the same section). A sequencing arc from the core's last
 //! task pins the order, and the induced delay is propagated through the
-//! dependency graph by the CPM recomputation.
+//! dependency graph by folding that arc into the CPM earliest starts — the
+//! only half of the analysis this phase reads. The phase ends by settling
+//! the analysis (latest completions, critical flags, makespan) for phase
+//! G.
 
 use std::time::Instant;
 
@@ -67,7 +70,7 @@ pub fn map_software_tasks(state: &mut SchedState<'_>) {
             .expect("validated instances have at least one core");
 
         // Sequencing arc from the core's last task; the delay itself is
-        // realized by the CPM pass through this arc.
+        // realized by propagating earliest starts through this arc.
         let mut arc_added = None;
         if let Some(&last) = core_tasks[best_core].last() {
             // The arc can only create a cycle if `last` depends on `t`;
@@ -105,6 +108,7 @@ pub fn map_software_tasks(state: &mut SchedState<'_>) {
                 .expect("occupancy starts at or after the core's drain");
         }
     }
+    state.settle_windows();
     state.observer.phase_finished(Phase::SwMap, t0.elapsed());
 }
 

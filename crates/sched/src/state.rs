@@ -5,7 +5,8 @@
 use std::mem;
 
 use prfpga_dag::{
-    reach, CpmAnalysis, CpmScratch, CsrView, CycleError, Dag, DagCheckpoint, NodeId, ReachIndex,
+    reach, CpmAnalysis, CpmCounters, CpmScratch, CsrView, CycleError, Dag, DagCheckpoint, NodeId,
+    ReachIndex,
 };
 use prfpga_model::{
     Device, ImplId, Platform, ProblemInstance, ResourceVec, TaskId, Time, TimeWindow,
@@ -181,8 +182,10 @@ pub struct SchedState<'a> {
     pub impl_choice: Vec<ImplId>,
     /// Execution time of the chosen implementation per task.
     pub durations: Vec<Time>,
-    /// Current CPM analysis (windows + critical set); kept in sync by
-    /// [`SchedState::recompute_windows`].
+    /// Current CPM analysis (windows + critical set), kept in sync with
+    /// every mutation. On the [`SchedState::incremental`] path only the
+    /// earliest starts are; the rest waits for
+    /// [`SchedState::settle_windows`].
     pub cpm: CpmAnalysis,
     /// Regions defined so far.
     pub regions: Vec<RegionBuild>,
@@ -198,11 +201,15 @@ pub struct SchedState<'a> {
     /// construction so direct phase callers are unaffected).
     pub observer: ObserverHandle,
     /// When set, window updates after duration/arc mutations use the
-    /// incremental CPM maintenance of [`CpmAnalysis::apply_arc`] /
-    /// [`CpmAnalysis::apply_duration`] instead of a full recompute.
-    /// Byte-identical results (the window equations have a unique fixed
-    /// point); enabled by the schedulers' workspace-reuse fast path and
-    /// off by default so direct phase callers exercise the plain path.
+    /// forward-only CPM maintenance of [`CpmAnalysis::apply_arc_deferred`]
+    /// / [`CpmAnalysis::apply_duration_deferred`] instead of a full
+    /// recompute: phases C, D and F read only earliest starts (their
+    /// criticality snapshot is taken before the first mutation), so latest
+    /// completions, critical flags and the makespan stay stale until
+    /// [`SchedState::settle_windows`] at the end of phase F. Byte-identical
+    /// results (the window equations have a unique fixed point); enabled
+    /// by the schedulers' workspace-reuse fast path and off by default so
+    /// direct phase callers exercise the plain path.
     pub incremental: bool,
     /// When set, reachability probes go through the bitset closure and
     /// sequencing-arc insertions through [`ReachIndex::add_edge`] (as long
@@ -421,8 +428,11 @@ impl<'a> SchedState<'a> {
     }
 
     /// True when the task is on the critical path under the current CPM.
+    /// Not readable between the first deferred update and
+    /// [`SchedState::settle_windows`].
     #[inline]
     pub fn is_critical(&self, t: TaskId) -> bool {
+        debug_assert!(self.cpm.is_settled(), "critical flags read before settle");
         self.cpm.critical[t.index()]
     }
 
@@ -448,6 +458,27 @@ impl<'a> SchedState<'a> {
             .recompute(&self.dag, &self.durations, None, &mut self.cpm_scratch);
     }
 
+    /// Brings the whole analysis up to date after forward-only updates:
+    /// one backward pass along the maintained topological order. Phase F
+    /// ends with it, so phase G reads settled criticality. A no-op when
+    /// nothing is stale.
+    pub fn settle_windows(&mut self) {
+        self.cpm
+            .settle(&self.dag, &self.durations, &mut self.cpm_scratch);
+        debug_assert_eq!(
+            self.cpm,
+            CpmAnalysis::run(&self.dag, &self.durations),
+            "settled incremental CPM diverged from a fresh run"
+        );
+    }
+
+    /// Work counters of the CPM maintenance, cumulative over the
+    /// workspace's lifetime; diff two readings with
+    /// [`CpmCounters::since`].
+    pub(crate) fn cpm_counters(&self) -> CpmCounters {
+        self.cpm_scratch.counters()
+    }
+
     /// Updates the analysis after `durations[t]` changed from `old`:
     /// incrementally when the fast path is on (a no-op if the duration is
     /// in fact unchanged), via full recompute otherwise.
@@ -455,16 +486,20 @@ impl<'a> SchedState<'a> {
         if !self.incremental {
             self.recompute_windows();
         } else if self.durations[t.index()] != old {
-            self.cpm
-                .apply_duration(&self.dag, &self.durations, t.0, &mut self.cpm_scratch);
+            self.cpm.apply_duration_deferred(
+                &self.dag,
+                &self.durations,
+                t.0,
+                &mut self.cpm_scratch,
+            );
         }
     }
 
     /// Incrementally folds an arc `u -> v` (already inserted into
-    /// `self.dag` by the caller) into the analysis.
+    /// `self.dag` by the caller) into the earliest starts.
     pub(crate) fn cpm_apply_arc(&mut self, u: TaskId, v: TaskId) {
         self.cpm
-            .apply_arc(&self.dag, &self.durations, u.0, v.0, &mut self.cpm_scratch);
+            .apply_arc_deferred(&self.dag, &self.durations, u.0, v.0, &mut self.cpm_scratch);
     }
 
     /// Switches `t` to its fastest software implementation and refreshes
@@ -499,24 +534,21 @@ impl<'a> SchedState<'a> {
         tasks.insert(pos, t);
         let prev = pos.checked_sub(1).map(|i| tasks[i]);
         let next = tasks.get(pos + 1).copied();
-        if self.incremental && self.durations[t.index()] != old {
-            self.cpm
-                .apply_duration(&self.dag, &self.durations, t.0, &mut self.cpm_scratch);
+        if self.incremental {
+            self.windows_after_duration_change(t, old);
         }
         if let Some(p) = prev {
             self.insert_sequencing_arc(p.0, t.0)
                 .expect("caller checked ordering consistency (prev)");
             if self.incremental {
-                self.cpm
-                    .apply_arc(&self.dag, &self.durations, p.0, t.0, &mut self.cpm_scratch);
+                self.cpm_apply_arc(p, t);
             }
         }
         if let Some(nx) = next {
             self.insert_sequencing_arc(t.0, nx.0)
                 .expect("caller checked ordering consistency (next)");
             if self.incremental {
-                self.cpm
-                    .apply_arc(&self.dag, &self.durations, t.0, nx.0, &mut self.cpm_scratch);
+                self.cpm_apply_arc(t, nx);
             }
         }
         if !self.incremental {

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use prfpga_dag::CpmCounters;
 
 /// The pipeline phases distinguished by the tracer, in execution order.
 ///
@@ -132,6 +133,11 @@ pub trait PhaseObserver: Send + Sync {
     /// in phase G) and gap/arbitration queries answered.
     fn timeline_stats(&self, _reservations: u64, _gap_queries: u64) {}
 
+    /// CPM-maintenance work of the last pipeline run, from the start of
+    /// regions definition to the settle at the end of phase F: arcs folded
+    /// in, order repairs, relaxations and full recomputes.
+    fn cpm_stats(&self, _counters: CpmCounters) {}
+
     /// End-of-run cancellation counters: checkpoints polled on the call's
     /// [`CancelToken`](prfpga_model::CancelToken) and how many of them
     /// observed the fired state (0 hits = the deadline never fired).
@@ -228,6 +234,9 @@ pub struct PhaseTrace {
     /// Gap / arbitration queries the last pipeline run's timeline kernel
     /// answered.
     pub timeline_gap_queries: u64,
+    /// CPM-maintenance work of the last pipeline run over phases C–F (0
+    /// full recomputes on the incremental path).
+    pub cpm: CpmCounters,
     /// Cancellation checkpoints polled on the run's `CancelToken` (0 when
     /// the caller did not supply one).
     pub cancel_polls: u64,
@@ -307,6 +316,15 @@ impl PhaseTrace {
         out.push_str(&format!(
             "timeline {} reservations / {} gap queries\n",
             self.timeline_reservations, self.timeline_gap_queries,
+        ));
+        out.push_str(&format!(
+            "cpm {} arcs / {} order repairs ({} nodes moved) / {} fwd + {} bwd relaxations / {} full recomputes\n",
+            self.cpm.arcs_applied,
+            self.cpm.order_repairs,
+            self.cpm.nodes_repositioned,
+            self.cpm.forward_relaxations,
+            self.cpm.backward_relaxations,
+            self.cpm.full_recomputes,
         ));
         out.push_str(&format!(
             "cancellation {} polls / {} deadline hits\n",
@@ -390,6 +408,10 @@ impl PhaseObserver for TraceRecorder {
         let mut t = self.inner.lock();
         t.timeline_reservations = reservations;
         t.timeline_gap_queries = gap_queries;
+    }
+
+    fn cpm_stats(&self, counters: CpmCounters) {
+        self.inner.lock().cpm = counters;
     }
 
     fn cancel_stats(&self, cancel_polls: u64, deadline_hits: u64) {
@@ -491,6 +513,30 @@ mod tests {
         assert!(t
             .render_table()
             .contains("timeline 11 reservations / 24 gap queries"));
+    }
+
+    #[test]
+    fn cpm_stats_overwrite_and_render() {
+        let rec = TraceRecorder::new();
+        let first = CpmCounters {
+            full_recomputes: 9,
+            ..CpmCounters::default()
+        };
+        rec.cpm_stats(first);
+        let last = CpmCounters {
+            arcs_applied: 12,
+            order_repairs: 5,
+            nodes_repositioned: 40,
+            forward_relaxations: 300,
+            backward_relaxations: 60,
+            full_recomputes: 0,
+        };
+        rec.cpm_stats(last);
+        let t = rec.snapshot();
+        assert_eq!(t.cpm, last);
+        assert!(t.render_table().contains(
+            "cpm 12 arcs / 5 order repairs (40 nodes moved) / 300 fwd + 60 bwd relaxations / 0 full recomputes"
+        ));
     }
 
     #[test]
