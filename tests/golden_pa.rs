@@ -1,21 +1,39 @@
-//! Golden PA schedules on the scaling corpus.
+//! Golden schedules: the frozen reference every refactor of the
+//! scheduling pipeline is checked against.
 //!
-//! Each entry pins the makespan and a stable FNV-1a-64 digest of the
-//! canonical `serde_json` serialization of the PA schedule for one
-//! scaling-corpus graph (`GraphConfig::standard`, `zedboard_pr`, seeded
-//! like `prfpga_bench::scaling_instances`). The values were frozen from
-//! the batch/full-recompute CPM implementation, so they are an oracle
-//! independent of the incremental CPM maintenance the scheduler runs
-//! today: any change to the decisions of phases A–G shows up as a digest
-//! mismatch, not just a different makespan.
+//! Each entry pins a stable FNV-1a-64 digest of the canonical
+//! `serde_json` serialization of a schedule (plus the counters named
+//! below), so any change to the decisions of phases A–G shows up as a
+//! digest mismatch, not just a different makespan.
 //!
-//! The 3,000-task graphs are the `pa_large` benchmark corpus; their
-//! makespans match the deterministic list that workload prints. They are
-//! release-only (a debug PA solve at that size takes tens of seconds);
-//! `cargo test --release --test golden_pa` runs them.
+//! * Scaling corpus: the PA schedule and makespan of scaling-corpus graphs
+//!   (`GraphConfig::standard`, `zedboard_pr`, seeded like
+//!   `prfpga_bench::scaling_instances`), plus the deterministic
+//!   `PhaseTrace` counters of the 1,000-task solves. Both take two
+//!   attempts with a few milliseconds of floorplanning, so they pin the
+//!   restart path too. The 3,000-task graphs are the `pa_large` benchmark
+//!   corpus; their makespans match the deterministic list that workload
+//!   prints. They are release-only (a debug PA solve at that size takes
+//!   tens of seconds); `cargo test --release --test golden_pa` runs them.
+//! * Differential corpus: two 20-task and two 40-task graphs on
+//!   `zedboard_pr` without fabric geometry (with geometry the
+//!   floorplanner's wall-clock limit decides some outcomes). Every
+//!   scheduler entry point is pinned there: PA (schedule, attempts), PA-R
+//!   (schedule, iterations, convergence), IS-1, the default portfolio
+//!   (schedule, winner) and a repair-engine replay (every outcome and
+//!   every repaired schedule). Each entry is checked bare and wrapped in a
+//!   one-fabric `Platform::single`, against the same value.
+//!
+//! The values were frozen from the fresh-allocation, full-recompute,
+//! adjacency-and-DFS, direct-realization pipeline and agree with the
+//! pooled, incremental, closure-indexed, journaled one, so they are an
+//! oracle independent of the machinery the scheduler runs today.
+
+use std::time::Duration;
 
 use prfpga::gen::GraphConfig;
 use prfpga::prelude::*;
+use prfpga::sched::{PaResult, PhaseTrace};
 
 /// Seed of the scaling corpus (`prfpga_bench::scale::SCALING_SEED`).
 const SCALING_SEED: u64 = 0x5CA_1E06;
@@ -23,39 +41,202 @@ const SCALING_SEED: u64 = 0x5CA_1E06;
 /// FNV-1a, 64-bit: stable across platforms and toolchains, unlike
 /// `DefaultHasher`.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from state `h`, for digests over several pieces.
+fn fnv1a64_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
-/// `(makespan, digest)` of the PA schedule of corpus graph `index` of
-/// `tasks` tasks.
-fn solve(tasks: usize, index: usize) -> (u64, u64) {
+fn digest(schedule: &Schedule) -> u64 {
+    fnv1a64(
+        serde_json::to_string(schedule)
+            .expect("schedules serialize")
+            .as_bytes(),
+    )
+}
+
+/// The configuration every scheduler in this file runs under.
+fn config() -> SchedulerConfig {
+    SchedulerConfig::default()
+}
+
+/// PA on corpus graph `index` of `tasks` tasks.
+fn solve(tasks: usize, index: usize) -> PaResult {
     let inst = TaskGraphGenerator::new(SCALING_SEED).generate(
         &format!("scale_{tasks}_{index}"),
         &GraphConfig::standard(tasks),
         Architecture::zedboard_pr(),
     );
-    let schedule = PaScheduler::new(SchedulerConfig::default())
-        .schedule(&inst)
-        .expect("corpus graphs are schedulable");
-    let json = serde_json::to_string(&schedule).expect("schedules serialize");
-    (schedule.makespan(), fnv1a64(json.as_bytes()))
+    PaScheduler::new(config())
+        .schedule_detailed(&inst)
+        .expect("corpus graphs are schedulable")
 }
 
 fn check(tasks: usize, golden: &[(usize, u64, u64)]) {
     let mut mismatches = Vec::new();
-    for &(index, makespan, digest) in golden {
-        let got = solve(tasks, index);
-        if got != (makespan, digest) {
+    for &(index, makespan, want) in golden {
+        let schedule = solve(tasks, index).schedule;
+        let got = (schedule.makespan(), digest(&schedule));
+        if got != (makespan, want) {
             mismatches.push(format!(
                 "scale_{tasks}_{index}: got (makespan {}, digest {:#018x}), \
-                 golden (makespan {makespan}, digest {digest:#018x})",
+                 golden (makespan {makespan}, digest {want:#018x})",
                 got.0, got.1
             ));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// The deterministic counters of a PA trace, in [`TRACE_FIELDS`] order
+/// (wall-clock and cancellation counters excluded).
+fn trace_counters(t: &PhaseTrace) -> [u64; 19] {
+    [
+        t.attempts as u64,
+        t.regions as u64,
+        t.hw_tasks as u64,
+        t.sw_tasks as u64,
+        t.balance_moves as u64,
+        t.reconfigurations as u64,
+        t.workspace_reuses,
+        t.fp_cache_hits,
+        t.fp_cache_misses,
+        t.commits,
+        t.commit_edits,
+        t.timeline_reservations,
+        t.timeline_gap_queries,
+        t.cpm.arcs_applied,
+        t.cpm.order_repairs,
+        t.cpm.nodes_repositioned,
+        t.cpm.forward_relaxations,
+        t.cpm.backward_relaxations,
+        t.cpm.full_recomputes,
+    ]
+}
+
+const TRACE_FIELDS: [&str; 19] = [
+    "attempts",
+    "regions",
+    "hw_tasks",
+    "sw_tasks",
+    "balance_moves",
+    "reconfigurations",
+    "workspace_reuses",
+    "fp_cache_hits",
+    "fp_cache_misses",
+    "commits",
+    "commit_edits",
+    "timeline_reservations",
+    "timeline_gap_queries",
+    "cpm.arcs_applied",
+    "cpm.order_repairs",
+    "cpm.nodes_repositioned",
+    "cpm.forward_relaxations",
+    "cpm.backward_relaxations",
+    "cpm.full_recomputes",
+];
+
+/// The differential corpus, without fabric geometry.
+fn differential_corpus() -> Vec<ProblemInstance> {
+    let mut corpus: Vec<ProblemInstance> = SuiteConfig {
+        groups: vec![20, 40],
+        graphs_per_group: 2,
+        seed: 0xD1FF_2016,
+    }
+    .generate(&Architecture::zedboard_pr())
+    .into_iter()
+    .flatten()
+    .collect();
+    for inst in &mut corpus {
+        inst.architecture.device.geometry = None;
+    }
+    corpus
+}
+
+/// `(label, value)` entries of every scheduler entry point on `inst`;
+/// schedules enter as digests, after a sweep validation.
+fn corpus_entries(inst: &ProblemInstance) -> Vec<(&'static str, u64)> {
+    let checked_on = |target: &ProblemInstance, s: &Schedule| {
+        assert_eq!(
+            validate_schedule_sweep(target, s),
+            Ok(()),
+            "{}: invalid schedule",
+            inst.name
+        );
+        digest(s)
+    };
+    let checked = |s: &Schedule| checked_on(inst, s);
+    let iterations = |n| SchedulerConfig {
+        max_iterations: n,
+        time_budget: Duration::from_secs(120),
+        ..config()
+    };
+    let mut entries = Vec::new();
+
+    let pa = PaScheduler::new(config()).schedule_detailed(inst).unwrap();
+    entries.push(("pa.schedule", checked(&pa.schedule)));
+    entries.push(("pa.attempts", pa.attempts as u64));
+
+    let par = PaRScheduler::new(iterations(6))
+        .schedule_detailed(inst)
+        .unwrap();
+    entries.push(("par.schedule", checked(&par.schedule)));
+    entries.push(("par.iterations", par.iterations as u64));
+    let convergence: String = par
+        .trace
+        .iter()
+        .map(|p| format!("{}:{};", p.iteration, p.makespan))
+        .collect();
+    entries.push(("par.convergence", fnv1a64(convergence.as_bytes())));
+
+    let is1 = IsKScheduler::new(prfpga::baseline::IsKConfig::is1())
+        .schedule(inst)
+        .unwrap();
+    entries.push(("is1.schedule", checked(&is1)));
+
+    let race = Portfolio::new(PortfolioConfig {
+        sched: iterations(4),
+        ..Default::default()
+    })
+    .run(inst)
+    .unwrap();
+    entries.push(("portfolio.schedule", checked(&race.schedule)));
+    entries.push((
+        "portfolio.winner",
+        fnv1a64(race.winner.to_string().as_bytes()),
+    ));
+
+    let trace = EventTraceGenerator::new(0x9A7F_0001).generate(
+        inst,
+        &pa.schedule,
+        &EventConfig::standard(12),
+    );
+    let mut engine = RepairEngine::new(
+        inst.clone(),
+        pa.schedule,
+        RepairConfig {
+            sched: config(),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut replay = fnv1a64(b"");
+    for event in &trace.events {
+        let o = engine.apply(event).unwrap();
+        let outcome = format!(
+            "{} {} {} {} {};",
+            o.frontier, o.moved, o.recs_replaced, o.full_resolve, o.makespan
+        );
+        replay = fnv1a64_from(replay, outcome.as_bytes());
+        let repaired = checked_on(engine.instance(), engine.schedule());
+        replay = fnv1a64_from(replay, &repaired.to_le_bytes());
+    }
+    entries.push(("repair.replay", replay));
+    entries
 }
 
 #[test]
@@ -76,6 +257,58 @@ fn pa_schedules_match_golden_3k() {
     check(3000, GOLDEN_3K);
 }
 
+#[test]
+fn pa_trace_counters_match_golden_1k() {
+    let mut mismatches = Vec::new();
+    for &(index, golden) in GOLDEN_TRACE_1K {
+        let t = solve(1000, index).trace;
+        assert_eq!(
+            t.cpm.full_recomputes, 0,
+            "scale_1000_{index}: CPM recomputed"
+        );
+        assert_eq!(
+            t.commits, t.attempts as u64,
+            "scale_1000_{index}: one commit per run"
+        );
+        let got = trace_counters(&t);
+        for ((field, got), want) in TRACE_FIELDS.iter().zip(got).zip(golden) {
+            if got != want {
+                mismatches.push(format!(
+                    "scale_1000_{index}.{field}: got {got}, golden {want}"
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn differential_corpus_matches_golden() {
+    let mut mismatches = Vec::new();
+    let mut seen = 0;
+    for inst in differential_corpus() {
+        let mut wrapped = inst.clone();
+        wrapped.architecture.platform = Some(Platform::single(inst.architecture.device.clone()));
+        for (target, inst) in [("bare", &inst), ("wrapped", &wrapped)] {
+            for (label, got) in corpus_entries(inst) {
+                let want = GOLDEN_CORPUS
+                    .iter()
+                    .find(|&&(name, l, _)| name == inst.name && l == label)
+                    .map(|&(_, _, v)| v);
+                if want != Some(got) {
+                    mismatches.push(format!(
+                        "(\"{}\", \"{label}\", {got:#018x}), // {target}, golden {want:#x?}",
+                        inst.name
+                    ));
+                }
+                seen += 1;
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    assert_eq!(seen, 2 * GOLDEN_CORPUS.len(), "every golden entry checked");
+}
+
 /// `(corpus index, makespan, digest)` for the 1,000-task graphs.
 const GOLDEN_1K: &[(usize, u64, u64)] = &[
     (0, 4_451_530, 0xa102_0be5_10a3_ad48),
@@ -94,4 +327,61 @@ const GOLDEN_3K: &[(usize, u64, u64)] = &[
     (7, 16_368_776, 0xfa91_bcd1_2793_6cc5),
     (8, 15_545_187, 0x6d1f_ca2d_74e2_b1c1),
     (9, 15_482_192, 0x9278_520e_875c_7627),
+];
+
+/// `(corpus index, counters in TRACE_FIELDS order)` of the 1,000-task PA
+/// traces.
+const GOLDEN_TRACE_1K: &[(usize, [u64; 19])] = &[
+    (
+        0,
+        [
+            2, 33, 322, 678, 0, 289, 1, 0, 2, 2, 555, 967, 289, 1167, 535, 5298, 29834, 1000, 0,
+        ],
+    ),
+    (
+        1,
+        [
+            2, 31, 312, 688, 0, 281, 1, 0, 2, 2, 558, 969, 281, 1144, 550, 6639, 29243, 1000, 0,
+        ],
+    ),
+];
+
+/// `(instance, entry, value)` of the differential corpus.
+const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
+    ("g20_i0", "pa.schedule", 0x4196_c859_1b4b_83d3),
+    ("g20_i0", "pa.attempts", 1),
+    ("g20_i0", "par.schedule", 0xe70d_218f_6180_6718),
+    ("g20_i0", "par.iterations", 6),
+    ("g20_i0", "par.convergence", 0x1fba_7ad2_2242_4c65),
+    ("g20_i0", "is1.schedule", 0xb346_a1aa_3e88_dfc5),
+    ("g20_i0", "portfolio.schedule", 0x4196_c859_1b4b_83d3),
+    ("g20_i0", "portfolio.winner", 0x0942_2707_b5d1_fe4a),
+    ("g20_i0", "repair.replay", 0x30c4_5bfa_4897_b6c1),
+    ("g20_i1", "pa.schedule", 0x0433_dfc1_581f_cd29),
+    ("g20_i1", "pa.attempts", 1),
+    ("g20_i1", "par.schedule", 0xfe56_5f61_6892_bc74),
+    ("g20_i1", "par.iterations", 6),
+    ("g20_i1", "par.convergence", 0x72e8_7253_6a97_8fda),
+    ("g20_i1", "is1.schedule", 0xeaec_f742_89b5_9f88),
+    ("g20_i1", "portfolio.schedule", 0xeaec_f742_89b5_9f88),
+    ("g20_i1", "portfolio.winner", 0x7b14_f0d1_1e51_e6bb),
+    ("g20_i1", "repair.replay", 0xd8fb_e1b5_585e_7f09),
+    ("g40_i0", "pa.schedule", 0xa65c_548d_eebb_1b86),
+    ("g40_i0", "pa.attempts", 1),
+    ("g40_i0", "par.schedule", 0xf655_76cb_e42b_8a8a),
+    ("g40_i0", "par.iterations", 6),
+    ("g40_i0", "par.convergence", 0x24d5_6266_6447_fd30),
+    ("g40_i0", "is1.schedule", 0x7788_9a5e_002e_6c5c),
+    ("g40_i0", "portfolio.schedule", 0xf655_76cb_e42b_8a8a),
+    ("g40_i0", "portfolio.winner", 0x18d5_de19_5005_9ed5),
+    ("g40_i0", "repair.replay", 0xf08d_ad16_fdce_1e65),
+    ("g40_i1", "pa.schedule", 0x2b63_278d_2e8b_67ef),
+    ("g40_i1", "pa.attempts", 1),
+    ("g40_i1", "par.schedule", 0x3901_a1bc_a4a1_23cd),
+    ("g40_i1", "par.iterations", 6),
+    ("g40_i1", "par.convergence", 0xee02_20eb_9568_1c74),
+    ("g40_i1", "is1.schedule", 0x617d_ab32_97db_445e),
+    ("g40_i1", "portfolio.schedule", 0x3901_a1bc_a4a1_23cd),
+    ("g40_i1", "portfolio.winner", 0x18d5_de19_5005_9ed5),
+    ("g40_i1", "repair.replay", 0xa17f_abfd_59c7_b0f1),
 ];
