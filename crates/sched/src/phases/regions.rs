@@ -406,6 +406,7 @@ mod tests {
             let w = MetricWeights::new(&inst.architecture.device.max_res, max_t(&inst));
             let mut st = SchedState::new(&inst, &inst.architecture.device, w, choice).unwrap();
             define_regions(&mut st, ord);
+            st.settle_windows();
             (st.regions.len(), st.region_of.clone(), st.cpm.makespan)
         };
         // Determinism: same policy twice gives identical results.

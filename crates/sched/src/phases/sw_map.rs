@@ -91,12 +91,8 @@ pub fn map_software_tasks(state: &mut SchedState<'_>) {
         }
         core_tasks[best_core].push(t);
         state.core_of[t.index()] = Some(best_core);
-        if state.incremental {
-            if let Some(last) = arc_added {
-                state.cpm_apply_arc(last, t);
-            }
-        } else {
-            state.recompute_windows();
+        if let Some(last) = arc_added {
+            state.cpm_apply_arc(last, t);
         }
         if cached_free {
             // Commit the (now final) occupancy on the core's lane; the arc

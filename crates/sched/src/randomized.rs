@@ -22,7 +22,7 @@ use prfpga_floorplan::{
 use prfpga_model::{CancelToken, ProblemInstance, ResourceVec, Schedule, Time};
 
 use crate::config::{OrderingPolicy, SchedulerConfig};
-use crate::driver::{do_schedule, do_schedule_in, ImplSelectMemo, PaScheduler};
+use crate::driver::{do_schedule_in, ImplSelectMemo, PaScheduler};
 use crate::error::SchedError;
 use crate::state::SchedWorkspace;
 use crate::trace::ObserverHandle;
@@ -49,11 +49,11 @@ pub struct PaRResult {
     pub trace: Vec<ConvergencePoint>,
     /// Wall-clock of the whole search.
     pub elapsed: Duration,
-    /// Iterations that rewound the warm workspace instead of re-allocating
-    /// (0 when `workspace_reuse` is off).
+    /// Pipeline runs that rewound the warm workspace instead of
+    /// re-allocating.
     pub workspace_reuses: u64,
-    /// Floorplan-feasibility cache counters (all-zero when
-    /// `workspace_reuse` is off or the device carries no geometry).
+    /// Floorplan-feasibility cache counters (all-zero when the device
+    /// carries no geometry).
     pub fp_cache: CacheStats,
     /// True when the run's [`CancelToken`] fired mid-search: the returned
     /// schedule is the incumbent at cancellation time (or the degraded PA
@@ -136,7 +136,6 @@ impl PaRScheduler {
 
         let polls0 = cancel.polls();
         let hits0 = cancel.deadline_hits();
-        let planner = Floorplanner::new(self.config.floorplan.clone());
         // Virtual capacity ratchet: Algorithm 1 discards floorplan-
         // infeasible candidates outright, but a pipeline run that packs the
         // fabric to 100% is *systematically* unplaceable on a column grid,
@@ -152,11 +151,13 @@ impl PaRScheduler {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
 
         // One workspace and one feasibility cache persist across every
-        // iteration (gated on `workspace_reuse`; verdicts are exact, so
-        // the search trajectory is byte-identical either way).
-        let reuse = self.config.workspace_reuse;
+        // iteration (verdicts are exact, so the cache cannot perturb the
+        // search trajectory).
         let mut memo = ImplSelectMemo::default();
-        let mut cache = FeasibilityCache::new(planner.clone(), DEFAULT_CACHE_CAPACITY);
+        let mut cache = FeasibilityCache::new(
+            Floorplanner::new(self.config.floorplan.clone()),
+            DEFAULT_CACHE_CAPACITY,
+        );
         let noop = ObserverHandle::noop();
 
         let mut best: Option<Schedule> = None;
@@ -181,42 +182,24 @@ impl PaRScheduler {
             iterations += 1;
             let order_seed: u64 = rng.random();
             let ordering = OrderingPolicy::RandomizedNonCritical(order_seed);
-            let schedule = if reuse {
-                do_schedule_in(
-                    ws,
-                    inst,
-                    &virtual_device,
-                    virtual_platform.as_ref(),
-                    &self.config,
-                    ordering,
-                    &noop,
-                    Some(&mut memo),
-                )
-            } else {
-                do_schedule(
-                    inst,
-                    &virtual_device,
-                    virtual_platform.as_ref(),
-                    &self.config,
-                    ordering,
-                )
-            };
+            let schedule = do_schedule_in(
+                ws,
+                inst,
+                &virtual_device,
+                virtual_platform.as_ref(),
+                &self.config,
+                ordering,
+                &noop,
+                Some(&mut memo),
+            );
             let makespan = schedule.makespan();
             if makespan < best_makespan {
                 // Pay for the floorplanner only on improvement (Algorithm 1).
                 let demands: Vec<ResourceVec> = schedule.regions.iter().map(|r| r.res).collect();
                 let fabrics: Vec<u32> = schedule.regions.iter().map(|r| r.fabric).collect();
-                let outcome = match (reuse, inst.architecture.platform.as_ref()) {
-                    (true, Some(p)) => cache.check_platform_cancel(p, &demands, &fabrics, cancel),
-                    (true, None) => {
-                        cache.check_device_cancel(&inst.architecture.device, &demands, cancel)
-                    }
-                    (false, Some(p)) => {
-                        planner.check_platform_cancel(p, &demands, &fabrics, cancel)
-                    }
-                    (false, None) => {
-                        planner.check_device_cancel(&inst.architecture.device, &demands, cancel)
-                    }
+                let outcome = match inst.architecture.platform.as_ref() {
+                    Some(p) => cache.check_platform_cancel(p, &demands, &fabrics, cancel),
+                    None => cache.check_device_cancel(&inst.architecture.device, &demands, cancel),
                 };
                 if let FloorplanOutcome::Feasible(_) = outcome {
                     best_makespan = makespan;
@@ -332,7 +315,6 @@ impl PaRScheduler {
         // All workers share one feasibility cache (solves happen outside
         // its lock); each owns a private workspace. Verdicts are exact, so
         // sharing cannot perturb any worker's search trajectory.
-        let reuse = self.config.workspace_reuse;
         let shared_cache = SharedFeasibilityCache::new(
             Floorplanner::new(self.config.floorplan.clone()),
             DEFAULT_CACHE_CAPACITY,
@@ -343,7 +325,6 @@ impl PaRScheduler {
                 let best = &best;
                 let config = &self.config;
                 let cache = shared_cache.clone();
-                let planner = Floorplanner::new(self.config.floorplan.clone());
                 let inst = &*inst;
                 scope.spawn(move |_| {
                     let mut rng =
@@ -369,45 +350,27 @@ impl PaRScheduler {
                         iters += 1;
                         let order_seed: u64 = rng.random();
                         let ordering = OrderingPolicy::RandomizedNonCritical(order_seed);
-                        let schedule = if reuse {
-                            do_schedule_in(
-                                &mut ws,
-                                inst,
-                                &virtual_device,
-                                virtual_platform.as_ref(),
-                                config,
-                                ordering,
-                                &noop,
-                                Some(&mut memo),
-                            )
-                        } else {
-                            do_schedule(
-                                inst,
-                                &virtual_device,
-                                virtual_platform.as_ref(),
-                                config,
-                                ordering,
-                            )
-                        };
+                        let schedule = do_schedule_in(
+                            &mut ws,
+                            inst,
+                            &virtual_device,
+                            virtual_platform.as_ref(),
+                            config,
+                            ordering,
+                            &noop,
+                            Some(&mut memo),
+                        );
                         let makespan = schedule.makespan();
                         if makespan < best.lock().0 {
                             let demands: Vec<ResourceVec> =
                                 schedule.regions.iter().map(|r| r.res).collect();
                             let fabrics: Vec<u32> =
                                 schedule.regions.iter().map(|r| r.fabric).collect();
-                            let outcome = match (reuse, inst.architecture.platform.as_ref()) {
-                                (true, Some(p)) => {
+                            let outcome = match inst.architecture.platform.as_ref() {
+                                Some(p) => {
                                     cache.check_platform_cancel(p, &demands, &fabrics, cancel)
                                 }
-                                (true, None) => cache.check_device_cancel(
-                                    &inst.architecture.device,
-                                    &demands,
-                                    cancel,
-                                ),
-                                (false, Some(p)) => {
-                                    planner.check_platform_cancel(p, &demands, &fabrics, cancel)
-                                }
-                                (false, None) => planner.check_device_cancel(
+                                None => cache.check_device_cancel(
                                     &inst.architecture.device,
                                     &demands,
                                     cancel,
@@ -542,28 +505,6 @@ mod tests {
         assert!(r.fp_cache.hits + r.fp_cache.misses > 0);
         assert!(r.elapsed > Duration::ZERO);
         assert!(r.iterations_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn workspace_reuse_off_is_byte_identical() {
-        let inst = instance(25, 37);
-        let on = PaRScheduler::new(config_iters(8))
-            .schedule_detailed(&inst)
-            .unwrap();
-        let off = PaRScheduler::new(SchedulerConfig {
-            workspace_reuse: false,
-            ..config_iters(8)
-        })
-        .schedule_detailed(&inst)
-        .unwrap();
-        assert_eq!(on.schedule, off.schedule);
-        assert_eq!(on.iterations, off.iterations);
-        let points = |r: &PaRResult| -> Vec<(usize, Time)> {
-            r.trace.iter().map(|p| (p.iteration, p.makespan)).collect()
-        };
-        assert_eq!(points(&on), points(&off), "same convergence trajectory");
-        assert_eq!(off.workspace_reuses, 0);
-        assert_eq!(off.fp_cache, CacheStats::default());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! the cache on the duration vector as well; before that fix this test
 //! fails with the ×2 instance inheriting the ×1 instance's CPM.
 
+use prfpga_dag::{CpmAnalysis, Dag};
 use prfpga_gen::{GraphConfig, TaskGraphGenerator};
-use prfpga_model::{Architecture, CancelToken, ImplId, ProblemInstance, TaskId};
+use prfpga_model::{Architecture, CancelToken, ImplId, ProblemInstance, TaskId, Time};
 use prfpga_sched::metrics::MetricWeights;
 use prfpga_sched::{PaRScheduler, PaScheduler, SchedState, SchedWorkspace, SchedulerConfig};
 use prfpga_sim::validate_schedule_sweep;
@@ -54,53 +55,33 @@ fn workspace_cpm_cache_keys_on_durations() {
         .collect();
     let weights = MetricWeights::new(&a.architecture.device.max_res, 1);
 
-    for fast_graph in [false, true] {
-        // Expected windows for b, from a workspace that never saw a.
-        let fresh = SchedState::from_workspace_with(
-            &b,
-            &b.architecture.device,
-            weights.clone(),
-            choice.clone(),
-            &mut SchedWorkspace::new(),
-            fast_graph,
-        )
-        .expect("fresh state for b");
-        let expect_b = fresh.cpm.windows.clone();
+    // Expected windows for b, from a from-scratch CPM run.
+    let dag = Dag::from_taskgraph(&b.graph).expect("generated graphs are acyclic");
+    let durations: Vec<Time> = choice.iter().map(|&i| b.impls.get(i).time).collect();
+    let expect_b = CpmAnalysis::run(&dag, &durations).windows;
 
-        // A pooled workspace primed by a must reproduce them exactly.
-        let mut ws = SchedWorkspace::new();
-        let st = SchedState::from_workspace_with(
-            &a,
-            &a.architecture.device,
-            weights.clone(),
-            choice.clone(),
-            &mut ws,
-            fast_graph,
-        )
-        .expect("state for a");
-        let windows_a = st.cpm.windows.clone();
-        st.recycle(&mut ws);
+    // A pooled workspace primed by a must reproduce them exactly.
+    let mut ws = SchedWorkspace::new();
+    let st = SchedState::from_workspace(
+        &a,
+        &a.architecture.device,
+        weights.clone(),
+        choice.clone(),
+        &mut ws,
+    )
+    .expect("state for a");
+    let windows_a = st.cpm.windows.clone();
+    st.recycle(&mut ws);
 
-        let st = SchedState::from_workspace_with(
-            &b,
-            &b.architecture.device,
-            weights.clone(),
-            choice.clone(),
-            &mut ws,
-            fast_graph,
-        )
+    let st = SchedState::from_workspace(&b, &b.architecture.device, weights, choice, &mut ws)
         .expect("pooled state for b");
-        assert_ne!(
-            windows_a, expect_b,
-            "scaling must move the windows (fast_graph={fast_graph})"
-        );
-        assert_eq!(
-            st.cpm.windows, expect_b,
-            "pooled workspace restored instance a's stale CPM (fast_graph={fast_graph})"
-        );
-        st.recycle(&mut ws);
-        assert_eq!(ws.reuses(), 1, "the graph-level cache must still reuse");
-    }
+    assert_ne!(windows_a, expect_b, "scaling must move the windows");
+    assert_eq!(
+        st.cpm.windows, expect_b,
+        "pooled workspace restored instance a's stale CPM"
+    );
+    st.recycle(&mut ws);
+    assert_eq!(ws.reuses(), 1, "the graph-level cache must still reuse");
 }
 
 #[test]

@@ -18,37 +18,12 @@ use prfpga::prelude::*;
 use prfpga::sched::PaRResult;
 
 fn groups() -> Vec<Vec<ProblemInstance>> {
-    let mut suite = SuiteConfig {
+    SuiteConfig {
         groups: vec![20, 40],
         graphs_per_group: 2,
         seed: 0xD1FF_2016,
     }
-    .generate(&Architecture::zedboard_pr());
-    // CI's platform-wrap leg: `PRFPGA_PLATFORM_WRAP=1` re-targets every
-    // instance at the same device wrapped as a 1-fabric platform, forcing
-    // the partition phase and the per-fabric floorplan/validator/controller
-    // paths on. Every oracle in this file must hold unchanged — the wrap
-    // is required to be byte-identical.
-    if matches!(std::env::var("PRFPGA_PLATFORM_WRAP").as_deref(), Ok("1")) {
-        for inst in suite.iter_mut().flatten() {
-            inst.architecture.platform = Some(prfpga::model::Platform::single(
-                inst.architecture.device.clone(),
-            ));
-        }
-    }
-    suite
-}
-
-/// Base configuration for every scheduler in this file. CI runs the suite
-/// twice: once as-is (journaled solve/commit realization, the default) and
-/// once with `PRFPGA_SOLVE_COMMIT=0` flipping phase G onto the direct
-/// non-journaled path — the two must agree on every oracle here, which is
-/// what makes the gate a pure seam and not a behavior switch.
-fn base_config() -> SchedulerConfig {
-    SchedulerConfig {
-        solve_commit: !matches!(std::env::var("PRFPGA_SOLVE_COMMIT").as_deref(), Ok("0")),
-        ..Default::default()
-    }
+    .generate(&Architecture::zedboard_pr())
 }
 
 /// Ideal unlimited-resource makespan: CPM over the precedence graph with
@@ -75,11 +50,11 @@ fn cpm_lower_bound(inst: &ProblemInstance) -> Time {
 /// every instance of the suite.
 #[test]
 fn all_schedulers_respect_cpm_lower_bound() {
-    let pa = PaScheduler::new(base_config());
+    let pa = PaScheduler::new(SchedulerConfig::default());
     let par = PaRScheduler::new(SchedulerConfig {
         max_iterations: 4,
         time_budget: std::time::Duration::from_secs(120),
-        ..base_config()
+        ..Default::default()
     });
     let is1 = IsKScheduler::new(IsKConfig::is1());
     let is5 = IsKScheduler::new(IsKConfig::is5());
@@ -119,112 +94,6 @@ fn all_schedulers_respect_cpm_lower_bound() {
     }
 }
 
-/// The workspace-reuse fast path (buffer recycling, incremental CPM,
-/// floorplan-feasibility cache) is a pure optimization: with a fixed
-/// seed it must produce byte-identical schedules, restart counts,
-/// iteration counts and convergence traces to the fresh-allocation
-/// path on every instance of the suite.
-#[test]
-fn workspace_reuse_is_byte_identical_to_fresh_allocation() {
-    let fresh_cfg = SchedulerConfig {
-        workspace_reuse: false,
-        ..base_config()
-    };
-    let reuse_cfg = base_config();
-    assert!(reuse_cfg.workspace_reuse, "reuse is the default");
-
-    let pa_fresh = PaScheduler::new(fresh_cfg.clone());
-    let pa_reuse = PaScheduler::new(reuse_cfg.clone());
-    let par_cfg = |base: &SchedulerConfig| SchedulerConfig {
-        max_iterations: 6,
-        time_budget: std::time::Duration::from_secs(120),
-        ..base.clone()
-    };
-    let par_fresh = PaRScheduler::new(par_cfg(&fresh_cfg));
-    let par_reuse = PaRScheduler::new(par_cfg(&reuse_cfg));
-
-    for group in groups() {
-        for inst in &group {
-            let a = pa_fresh.schedule_detailed(inst).unwrap();
-            let b = pa_reuse.schedule_detailed(inst).unwrap();
-            assert_eq!(a.schedule, b.schedule, "PA schedule on {}", inst.name);
-            assert_eq!(a.attempts, b.attempts, "PA attempts on {}", inst.name);
-
-            let a = par_fresh.schedule_detailed(inst).unwrap();
-            let b = par_reuse.schedule_detailed(inst).unwrap();
-            assert_eq!(a.schedule, b.schedule, "PA-R schedule on {}", inst.name);
-            assert_eq!(
-                a.iterations, b.iterations,
-                "PA-R iterations on {}",
-                inst.name
-            );
-            let points = |r: &PaRResult| -> Vec<(usize, Time)> {
-                r.trace.iter().map(|p| (p.iteration, p.makespan)).collect()
-            };
-            assert_eq!(points(&a), points(&b), "PA-R convergence on {}", inst.name);
-        }
-    }
-}
-
-/// The CSR/bitset fast graph paths (frozen struct-of-arrays view, cached
-/// transitive-closure reachability, closure-maintained sequencing-arc
-/// insertion) are pure optimizations: with `csr_paths` off the schedulers
-/// fall back to journaled-adjacency DFS probes everywhere, and the two
-/// configurations must produce byte-identical schedules, restart counts,
-/// iteration counts and convergence traces across PA, PA-R and IS-1.
-#[test]
-fn csr_fast_paths_are_byte_identical_to_dfs_paths() {
-    let slow_cfg = SchedulerConfig {
-        csr_paths: false,
-        ..base_config()
-    };
-    let fast_cfg = base_config();
-    assert!(fast_cfg.csr_paths, "fast graph paths are the default");
-
-    let pa_slow = PaScheduler::new(slow_cfg.clone());
-    let pa_fast = PaScheduler::new(fast_cfg.clone());
-    let par_cfg = |base: &SchedulerConfig| SchedulerConfig {
-        max_iterations: 6,
-        time_budget: std::time::Duration::from_secs(120),
-        ..base.clone()
-    };
-    let par_slow = PaRScheduler::new(par_cfg(&slow_cfg));
-    let par_fast = PaRScheduler::new(par_cfg(&fast_cfg));
-    // IS-1 never reads `SchedulerConfig`, so the flag cannot change its
-    // output directly — but the fast paths do keep process-global state
-    // (the thread-local DFS scratch shrunk on workspace resets). Running
-    // IS-1 interleaved with both PA configurations pins that none of it
-    // leaks across algorithms.
-    let is1_slow = IsKScheduler::new(IsKConfig::is1());
-    let is1_fast = IsKScheduler::new(IsKConfig::is1());
-
-    for group in groups() {
-        for inst in &group {
-            let a = pa_slow.schedule_detailed(inst).unwrap();
-            let b = pa_fast.schedule_detailed(inst).unwrap();
-            assert_eq!(a.schedule, b.schedule, "PA schedule on {}", inst.name);
-            assert_eq!(a.attempts, b.attempts, "PA attempts on {}", inst.name);
-
-            let a = par_slow.schedule_detailed(inst).unwrap();
-            let b = par_fast.schedule_detailed(inst).unwrap();
-            assert_eq!(a.schedule, b.schedule, "PA-R schedule on {}", inst.name);
-            assert_eq!(
-                a.iterations, b.iterations,
-                "PA-R iterations on {}",
-                inst.name
-            );
-            let points = |r: &PaRResult| -> Vec<(usize, Time)> {
-                r.trace.iter().map(|p| (p.iteration, p.makespan)).collect()
-            };
-            assert_eq!(points(&a), points(&b), "PA-R convergence on {}", inst.name);
-
-            let a = is1_slow.schedule(inst).unwrap();
-            let b = is1_fast.schedule(inst).unwrap();
-            assert_eq!(a, b, "IS-1 schedule on {}", inst.name);
-        }
-    }
-}
-
 /// The cooperative-cancellation plumbing is inert without a deadline:
 /// scheduling through a never-firing [`CancelToken`] must be byte-identical
 /// to the plain entry points — schedules, restart/iteration counts and
@@ -235,11 +104,11 @@ fn csr_fast_paths_are_byte_identical_to_dfs_paths() {
 fn cancellation_plumbing_is_inert_without_a_deadline() {
     use prfpga::portfolio::{Member, Portfolio, PortfolioConfig};
 
-    let pa = PaScheduler::new(base_config());
+    let pa = PaScheduler::new(SchedulerConfig::default());
     let par_cfg = SchedulerConfig {
         max_iterations: 4,
         time_budget: std::time::Duration::from_secs(120),
-        ..base_config()
+        ..Default::default()
     };
     let par = PaRScheduler::new(par_cfg.clone());
 
@@ -327,11 +196,11 @@ fn cancellation_plumbing_is_inert_without_a_deadline() {
     ignore = "floorplan wall-clock budget is unreliable in debug builds"
 )]
 fn par_aggregate_does_not_lose_to_pa() {
-    let pa = PaScheduler::new(base_config());
+    let pa = PaScheduler::new(SchedulerConfig::default());
     let par = PaRScheduler::new(SchedulerConfig {
         max_iterations: 12,
         time_budget: std::time::Duration::from_secs(120),
-        ..base_config()
+        ..Default::default()
     });
     let mut pa_total = 0u64;
     let mut par_total = 0u64;
@@ -360,11 +229,11 @@ fn par_aggregate_does_not_lose_to_pa() {
 /// restart/iteration counts, convergence traces, and repaired outcomes.
 #[test]
 fn single_fabric_platform_wrap_is_byte_identical() {
-    let pa = PaScheduler::new(base_config());
+    let pa = PaScheduler::new(SchedulerConfig::default());
     let par = PaRScheduler::new(SchedulerConfig {
         max_iterations: 4,
         time_budget: std::time::Duration::from_secs(120),
-        ..base_config()
+        ..Default::default()
     });
     let is1 = IsKScheduler::new(IsKConfig::is1());
     let portfolio = Portfolio::new(PortfolioConfig {
@@ -372,7 +241,7 @@ fn single_fabric_platform_wrap_is_byte_identical() {
         sched: SchedulerConfig {
             max_iterations: 4,
             time_budget: std::time::Duration::from_secs(120),
-            ..base_config()
+            ..Default::default()
         },
         ..Default::default()
     });
@@ -467,7 +336,9 @@ fn alveo_u250_schedules_end_to_end() {
         arch,
     );
 
-    let s = PaScheduler::new(base_config()).schedule(&inst).unwrap();
+    let s = PaScheduler::new(SchedulerConfig::default())
+        .schedule(&inst)
+        .unwrap();
     validate_schedule(&inst, &s).expect("valid multi-fabric schedule");
     assert_eq!(validate_schedule_sweep(&inst, &s), Ok(()));
     assert!(
@@ -501,54 +372,4 @@ fn alveo_u250_schedules_end_to_end() {
     assert!(gantt.contains("fabric 0:") && gantt.contains("fabric 1:"));
     let svg = render_svg(&inst, &s);
     assert!(svg.contains("f0 reg") && svg.contains("f1 "));
-}
-
-/// The solve/commit split (phase G routed through the edit journal and
-/// `commit_batch` instead of realizing directly into the lanes) is a pure
-/// seam: with `solve_commit` off the schedulers fall back to the direct
-/// non-journaled realization, and the two configurations must produce
-/// byte-identical schedules, restart counts, iteration counts and
-/// convergence traces.
-#[test]
-fn solve_commit_gate_is_byte_identical() {
-    let direct_cfg = SchedulerConfig {
-        solve_commit: false,
-        ..Default::default()
-    };
-    let journal_cfg = SchedulerConfig {
-        solve_commit: true,
-        ..Default::default()
-    };
-
-    let pa_direct = PaScheduler::new(direct_cfg.clone());
-    let pa_journal = PaScheduler::new(journal_cfg.clone());
-    let par_cfg = |base: &SchedulerConfig| SchedulerConfig {
-        max_iterations: 6,
-        time_budget: std::time::Duration::from_secs(120),
-        ..base.clone()
-    };
-    let par_direct = PaRScheduler::new(par_cfg(&direct_cfg));
-    let par_journal = PaRScheduler::new(par_cfg(&journal_cfg));
-
-    for group in groups() {
-        for inst in &group {
-            let a = pa_direct.schedule_detailed(inst).unwrap();
-            let b = pa_journal.schedule_detailed(inst).unwrap();
-            assert_eq!(a.schedule, b.schedule, "PA schedule on {}", inst.name);
-            assert_eq!(a.attempts, b.attempts, "PA attempts on {}", inst.name);
-
-            let a = par_direct.schedule_detailed(inst).unwrap();
-            let b = par_journal.schedule_detailed(inst).unwrap();
-            assert_eq!(a.schedule, b.schedule, "PA-R schedule on {}", inst.name);
-            assert_eq!(
-                a.iterations, b.iterations,
-                "PA-R iterations on {}",
-                inst.name
-            );
-            let points = |r: &PaRResult| -> Vec<(usize, Time)> {
-                r.trace.iter().map(|p| (p.iteration, p.makespan)).collect()
-            };
-            assert_eq!(points(&a), points(&b), "PA-R convergence on {}", inst.name);
-        }
-    }
 }
