@@ -23,6 +23,11 @@
 //!   (schedule, winner) and a repair-engine replay (every outcome and
 //!   every repaired schedule). Each entry is checked bare and wrapped in a
 //!   one-fabric `Platform::single`, against the same value.
+//! * Multi-fabric corpus: two 40-task graphs on `Platform::dual_zedboard`
+//!   and two on `Platform::alveo_u250`, geometry removed from every
+//!   fabric as above. PA (schedule, attempts) and PA-R (schedule,
+//!   iterations, convergence) are pinned there, so the per-fabric
+//!   floorplan dispatch and the lockstep platform ratchet are covered.
 //!
 //! The values were frozen from the fresh-allocation, full-recompute,
 //! adjacency-and-DFS, direct-realization pipeline and agree with the
@@ -157,26 +162,32 @@ fn differential_corpus() -> Vec<ProblemInstance> {
     corpus
 }
 
-/// `(label, value)` entries of every scheduler entry point on `inst`;
-/// schedules enter as digests, after a sweep validation.
-fn corpus_entries(inst: &ProblemInstance) -> Vec<(&'static str, u64)> {
-    let checked_on = |target: &ProblemInstance, s: &Schedule| {
-        assert_eq!(
-            validate_schedule_sweep(target, s),
-            Ok(()),
-            "{}: invalid schedule",
-            inst.name
-        );
-        digest(s)
-    };
-    let checked = |s: &Schedule| checked_on(inst, s);
-    let iterations = |n| SchedulerConfig {
+/// Sweep-validates `s` against `target` and digests it; `name` labels a
+/// failure.
+fn checked_on(name: &str, target: &ProblemInstance, s: &Schedule) -> u64 {
+    assert_eq!(
+        validate_schedule_sweep(target, s),
+        Ok(()),
+        "{name}: invalid schedule"
+    );
+    digest(s)
+}
+
+/// A configuration that caps PA-R at `n` iterations, well inside its
+/// wall-clock budget.
+fn iterations(n: usize) -> SchedulerConfig {
+    SchedulerConfig {
         max_iterations: n,
         time_budget: Duration::from_secs(120),
         ..config()
-    };
-    let mut entries = Vec::new();
+    }
+}
 
+/// PA (schedule, attempts) and PA-R@6 (schedule, iterations,
+/// convergence) entries on `inst`, pushed onto `entries`; returns PA's
+/// schedule.
+fn pa_and_par_entries(inst: &ProblemInstance, entries: &mut Vec<(&'static str, u64)>) -> Schedule {
+    let checked = |s: &Schedule| checked_on(&inst.name, inst, s);
     let pa = PaScheduler::new(config()).schedule_detailed(inst).unwrap();
     entries.push(("pa.schedule", checked(&pa.schedule)));
     entries.push(("pa.attempts", pa.attempts as u64));
@@ -192,6 +203,15 @@ fn corpus_entries(inst: &ProblemInstance) -> Vec<(&'static str, u64)> {
         .map(|p| format!("{}:{};", p.iteration, p.makespan))
         .collect();
     entries.push(("par.convergence", fnv1a64(convergence.as_bytes())));
+    pa.schedule
+}
+
+/// `(label, value)` entries of every scheduler entry point on `inst`;
+/// schedules enter as digests, after a sweep validation.
+fn corpus_entries(inst: &ProblemInstance) -> Vec<(&'static str, u64)> {
+    let checked = |s: &Schedule| checked_on(&inst.name, inst, s);
+    let mut entries = Vec::new();
+    let pa_schedule = pa_and_par_entries(inst, &mut entries);
 
     let is1 = IsKScheduler::new(prfpga::baseline::IsKConfig::is1())
         .schedule(inst)
@@ -212,12 +232,12 @@ fn corpus_entries(inst: &ProblemInstance) -> Vec<(&'static str, u64)> {
 
     let trace = EventTraceGenerator::new(0x9A7F_0001).generate(
         inst,
-        &pa.schedule,
+        &pa_schedule,
         &EventConfig::standard(12),
     );
     let mut engine = RepairEngine::new(
         inst.clone(),
-        pa.schedule,
+        pa_schedule,
         RepairConfig {
             sched: config(),
             ..Default::default()
@@ -232,7 +252,7 @@ fn corpus_entries(inst: &ProblemInstance) -> Vec<(&'static str, u64)> {
             o.frontier, o.moved, o.recs_replaced, o.full_resolve, o.makespan
         );
         replay = fnv1a64_from(replay, outcome.as_bytes());
-        let repaired = checked_on(engine.instance(), engine.schedule());
+        let repaired = checked_on(&inst.name, engine.instance(), engine.schedule());
         replay = fnv1a64_from(replay, &repaired.to_le_bytes());
     }
     entries.push(("repair.replay", replay));
@@ -282,6 +302,30 @@ fn pa_trace_counters_match_golden_1k() {
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
+/// Compares `entries` of instance `name` against `golden`, pushing one
+/// ready-to-paste line per mismatch onto `mismatches`.
+fn compare(
+    golden: &[(&str, &str, u64)],
+    name: &str,
+    target: &str,
+    entries: Vec<(&'static str, u64)>,
+    mismatches: &mut Vec<String>,
+) -> usize {
+    let seen = entries.len();
+    for (label, got) in entries {
+        let want = golden
+            .iter()
+            .find(|&&(n, l, _)| n == name && l == label)
+            .map(|&(_, _, v)| v);
+        if want != Some(got) {
+            mismatches.push(format!(
+                "(\"{name}\", \"{label}\", {got:#018x}), // {target}, golden {want:#x?}"
+            ));
+        }
+    }
+    seen
+}
+
 #[test]
 fn differential_corpus_matches_golden() {
     let mut mismatches = Vec::new();
@@ -290,23 +334,59 @@ fn differential_corpus_matches_golden() {
         let mut wrapped = inst.clone();
         wrapped.architecture.platform = Some(Platform::single(inst.architecture.device.clone()));
         for (target, inst) in [("bare", &inst), ("wrapped", &wrapped)] {
-            for (label, got) in corpus_entries(inst) {
-                let want = GOLDEN_CORPUS
-                    .iter()
-                    .find(|&&(name, l, _)| name == inst.name && l == label)
-                    .map(|&(_, _, v)| v);
-                if want != Some(got) {
-                    mismatches.push(format!(
-                        "(\"{}\", \"{label}\", {got:#018x}), // {target}, golden {want:#x?}",
-                        inst.name
-                    ));
-                }
-                seen += 1;
-            }
+            let entries = corpus_entries(inst);
+            seen += compare(GOLDEN_CORPUS, &inst.name, target, entries, &mut mismatches);
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
     assert_eq!(seen, 2 * GOLDEN_CORPUS.len(), "every golden entry checked");
+}
+
+/// The multi-fabric corpus: 40-task graphs on two catalog platforms,
+/// without fabric geometry, named `<platform>_g40_i<k>`.
+fn multi_fabric_corpus() -> Vec<ProblemInstance> {
+    let mut corpus = Vec::new();
+    for platform in [Platform::dual_zedboard(), Platform::alveo_u250()] {
+        let platform_name = platform.name.clone();
+        let arch = Architecture::on_platform(2, platform);
+        let suite = SuiteConfig {
+            groups: vec![40],
+            graphs_per_group: 2,
+            seed: 0xFAB_2016,
+        };
+        for mut inst in suite.generate(&arch).into_iter().flatten() {
+            inst.name = format!("{platform_name}_{}", inst.name);
+            inst.architecture.device.geometry = None;
+            for fabric in &mut inst.architecture.platform.as_mut().unwrap().fabrics {
+                fabric.geometry = None;
+            }
+            corpus.push(inst);
+        }
+    }
+    corpus
+}
+
+#[test]
+fn multi_fabric_corpus_matches_golden() {
+    let mut mismatches = Vec::new();
+    let mut seen = 0;
+    for inst in multi_fabric_corpus() {
+        let mut entries = Vec::new();
+        pa_and_par_entries(&inst, &mut entries);
+        seen += compare(
+            GOLDEN_MULTI_FABRIC,
+            &inst.name,
+            "platform",
+            entries,
+            &mut mismatches,
+        );
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    assert_eq!(
+        seen,
+        GOLDEN_MULTI_FABRIC.len(),
+        "every golden entry checked"
+    );
 }
 
 /// `(corpus index, makespan, digest)` for the 1,000-task graphs.
@@ -384,4 +464,52 @@ const GOLDEN_CORPUS: &[(&str, &str, u64)] = &[
     ("g40_i1", "portfolio.schedule", 0x3901_a1bc_a4a1_23cd),
     ("g40_i1", "portfolio.winner", 0x18d5_de19_5005_9ed5),
     ("g40_i1", "repair.replay", 0xa17f_abfd_59c7_b0f1),
+];
+
+/// `(instance, entry, value)` of the multi-fabric corpus.
+const GOLDEN_MULTI_FABRIC: &[(&str, &str, u64)] = &[
+    ("dual-zedboard_g40_i0", "pa.schedule", 0xff4c_b693_bebd_2959),
+    ("dual-zedboard_g40_i0", "pa.attempts", 1),
+    (
+        "dual-zedboard_g40_i0",
+        "par.schedule",
+        0x5fd7_6290_5e25_7773,
+    ),
+    ("dual-zedboard_g40_i0", "par.iterations", 6),
+    (
+        "dual-zedboard_g40_i0",
+        "par.convergence",
+        0x6af8_ea46_8ad8_6ceb,
+    ),
+    ("dual-zedboard_g40_i1", "pa.schedule", 0xd7b1_06ec_59ec_3049),
+    ("dual-zedboard_g40_i1", "pa.attempts", 1),
+    (
+        "dual-zedboard_g40_i1",
+        "par.schedule",
+        0xc035_60cb_9da4_0f61,
+    ),
+    ("dual-zedboard_g40_i1", "par.iterations", 6),
+    (
+        "dual-zedboard_g40_i1",
+        "par.convergence",
+        0x8ac4_c1c3_4268_dbc5,
+    ),
+    ("alveo-u250_g40_i0", "pa.schedule", 0x90e3_f743_94d6_30dd),
+    ("alveo-u250_g40_i0", "pa.attempts", 1),
+    ("alveo-u250_g40_i0", "par.schedule", 0x801c_120b_dcf3_0553),
+    ("alveo-u250_g40_i0", "par.iterations", 6),
+    (
+        "alveo-u250_g40_i0",
+        "par.convergence",
+        0xfa54_80cf_0e4e_7514,
+    ),
+    ("alveo-u250_g40_i1", "pa.schedule", 0xce52_58c6_a197_4935),
+    ("alveo-u250_g40_i1", "pa.attempts", 1),
+    ("alveo-u250_g40_i1", "par.schedule", 0xc923_0fed_dfff_b40d),
+    ("alveo-u250_g40_i1", "par.iterations", 6),
+    (
+        "alveo-u250_g40_i1",
+        "par.convergence",
+        0xe402_1af2_c79f_216a,
+    ),
 ];
