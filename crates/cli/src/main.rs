@@ -311,16 +311,11 @@ fn schedule(args: &[String]) -> Result<(), String> {
                 time_budget: Duration::from_millis(budget_ms),
                 ..Default::default()
             });
-            if threads > 1 {
-                par.schedule_parallel_with_cancel(&inst, threads, &cancel)
-                    .map_err(|e| e.to_string())?
-            } else {
-                let r = par
-                    .schedule_with_cancel(&inst, &cancel)
-                    .map_err(|e| e.to_string())?;
-                degraded = r.degraded;
-                r.schedule
-            }
+            let r = par
+                .schedule_parallel_with_cancel(&inst, threads, &cancel)
+                .map_err(|e| e.to_string())?;
+            degraded = r.degraded;
+            r.schedule
         }
         "is1" => {
             IsKScheduler::new(IsKConfig::is1())

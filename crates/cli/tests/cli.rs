@@ -186,6 +186,46 @@ fn deadline_flag_works_for_every_algorithm() {
 }
 
 #[test]
+fn par_reports_a_fired_deadline_at_every_thread_count() {
+    let inst = tmp("par_deadline.json");
+    let out = bin()
+        .args(["generate", "--tasks", "12", "--seed", "5", "--out"])
+        .arg(&inst)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    // A zero deadline fires before the first iteration: the serial search
+    // and the parallel workers alike must flag the degraded result.
+    for threads in ["1", "2"] {
+        let out = bin()
+            .args([
+                "schedule",
+                "--algo",
+                "par",
+                "--threads",
+                threads,
+                "--deadline-ms",
+                "0",
+                "--input",
+            ])
+            .arg(&inst)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "--threads {threads}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            stdout.contains("deadline fired mid-search"),
+            "--threads {threads}: {stdout}"
+        );
+    }
+    let _ = std::fs::remove_file(&inst);
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let out = bin().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());

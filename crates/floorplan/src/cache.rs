@@ -18,11 +18,16 @@
 //! back to the caller's demand order (sound because sorted-equal demands
 //! are identical), so a cached `Feasible` answer always carries one valid
 //! rectangle per region, in region order, exactly like a cold solve.
+//!
+//! Every method takes `&self`: the map lives behind a lock, so one cache
+//! serves PA's restart loop, the serial PA-R search and every parallel
+//! PA-R worker alike. Because only exact verdicts are stored, a hit
+//! returns what a cold solve would, and sharing a cache cannot change any
+//! search's trajectory.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -81,7 +86,7 @@ enum CachedVerdict {
     Infeasible,
 }
 
-/// Shared map + counters behind both cache front-ends.
+/// The map and counters behind a [`FeasibilityCache`]'s lock.
 #[derive(Debug, Default)]
 struct CacheCore {
     map: HashMap<CacheKey, CachedVerdict>,
@@ -172,13 +177,15 @@ fn canonical_key(device: &Device, demands: &[ResourceVec]) -> Option<(CacheKey, 
 /// A bounded memoization layer over a [`Floorplanner`].
 ///
 /// Answers [`Floorplanner::check_device`] queries, remembering exact
-/// verdicts per canonical demand signature. Single-owner variant; see
-/// [`SharedFeasibilityCache`] for the lock-guarded one parallel PA-R
-/// workers share.
+/// verdicts per canonical demand signature. The map lives behind a
+/// [`parking_lot::Mutex`] and solves happen *outside* the lock, so
+/// threads sharing one cache never serialize on the backtracking search:
+/// two of them racing on the same cold signature both solve, and the
+/// second insert overwrites an identical verdict.
 #[derive(Debug)]
 pub struct FeasibilityCache {
     planner: Floorplanner,
-    core: CacheCore,
+    core: Mutex<CacheCore>,
 }
 
 impl FeasibilityCache {
@@ -186,14 +193,14 @@ impl FeasibilityCache {
     pub fn new(planner: Floorplanner, capacity: usize) -> Self {
         FeasibilityCache {
             planner,
-            core: CacheCore::with_capacity(capacity),
+            core: Mutex::new(CacheCore::with_capacity(capacity)),
         }
     }
 
     /// [`Floorplanner::check_device`] through the cache: a memoized exact
     /// verdict when the canonical signature is known, a cold solve (whose
     /// exact outcome is then remembered) otherwise.
-    pub fn check_device(&mut self, device: &Device, demands: &[ResourceVec]) -> FloorplanOutcome {
+    pub fn check_device(&self, device: &Device, demands: &[ResourceVec]) -> FloorplanOutcome {
         self.check_device_cancel(device, demands, &CancelToken::never())
     }
 
@@ -201,82 +208,6 @@ impl FeasibilityCache {
     /// — including one induced by `cancel` firing mid-solve — is never
     /// cached, so a cancelled query leaves the cache exactly as warm (and as
     /// correct) as before the call.
-    pub fn check_device_cancel(
-        &mut self,
-        device: &Device,
-        demands: &[ResourceVec],
-        cancel: &CancelToken,
-    ) -> FloorplanOutcome {
-        let Some((key, perm)) = canonical_key(device, demands) else {
-            return self.planner.check_device_cancel(device, demands, cancel);
-        };
-        if let Some(outcome) = self.core.lookup(&key, &perm) {
-            return outcome;
-        }
-        let outcome = self.planner.check_device_cancel(device, demands, cancel);
-        self.core.insert(key, &outcome, &perm);
-        outcome
-    }
-
-    /// [`Floorplanner::check_platform_cancel`] through the cache: one
-    /// memoized per-fabric query per occupied fabric. The canonical key
-    /// already fingerprints the fabric geometry, so identical demand sets
-    /// on different fabrics never collide.
-    pub fn check_platform_cancel(
-        &mut self,
-        platform: &prfpga_model::Platform,
-        demands: &[ResourceVec],
-        fabric_of: &[u32],
-        cancel: &CancelToken,
-    ) -> FloorplanOutcome {
-        crate::solver::check_platform_with(platform, demands, fabric_of, |device, sub| {
-            self.check_device_cancel(device, sub, cancel)
-        })
-    }
-
-    /// Hit/miss counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.core.stats
-    }
-
-    /// Number of cached signatures.
-    pub fn len(&self) -> usize {
-        self.core.map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.core.map.is_empty()
-    }
-}
-
-/// A [`FeasibilityCache`] shareable across PA-R workers.
-///
-/// The map lives behind a [`parking_lot::Mutex`]; solves happen *outside*
-/// the lock, so workers never serialize on the backtracking search — two
-/// workers racing on the same cold signature both solve and the second
-/// insert is a no-op overwrite of an identical verdict.
-#[derive(Debug, Clone)]
-pub struct SharedFeasibilityCache {
-    planner: Floorplanner,
-    core: Arc<Mutex<CacheCore>>,
-}
-
-impl SharedFeasibilityCache {
-    /// Wraps `planner` with a shared cache bounded to `capacity` entries.
-    pub fn new(planner: Floorplanner, capacity: usize) -> Self {
-        SharedFeasibilityCache {
-            planner,
-            core: Arc::new(Mutex::new(CacheCore::with_capacity(capacity))),
-        }
-    }
-
-    /// See [`FeasibilityCache::check_device`].
-    pub fn check_device(&self, device: &Device, demands: &[ResourceVec]) -> FloorplanOutcome {
-        self.check_device_cancel(device, demands, &CancelToken::never())
-    }
-
-    /// See [`FeasibilityCache::check_device_cancel`].
     pub fn check_device_cancel(
         &self,
         device: &Device,
@@ -294,7 +225,10 @@ impl SharedFeasibilityCache {
         outcome
     }
 
-    /// See [`FeasibilityCache::check_platform_cancel`].
+    /// [`Floorplanner::check_platform_cancel`] through the cache: one
+    /// memoized per-fabric query per occupied fabric. The canonical key
+    /// already fingerprints the fabric geometry, so identical demand sets
+    /// on different fabrics never collide.
     pub fn check_platform_cancel(
         &self,
         platform: &prfpga_model::Platform,
@@ -310,6 +244,16 @@ impl SharedFeasibilityCache {
     /// Hit/miss counters so far, across all sharers.
     pub fn stats(&self) -> CacheStats {
         self.core.lock().stats
+    }
+
+    /// Number of cached signatures.
+    pub fn len(&self) -> usize {
+        self.core.lock().map.len()
+    }
+
+    /// True when nothing has been cached yet.
+    pub fn is_empty(&self) -> bool {
+        self.core.lock().map.is_empty()
     }
 }
 
@@ -330,7 +274,7 @@ mod tests {
     #[test]
     fn repeat_query_hits_and_matches_cold_solve() {
         let planner = Floorplanner::default();
-        let mut cache = FeasibilityCache::new(planner.clone(), 16);
+        let cache = FeasibilityCache::new(planner.clone(), 16);
         let device = geo_device();
         let demands = vec![ResourceVec::new(600, 10, 20), ResourceVec::new(400, 0, 0)];
         let cold = planner.check_device(&device, &demands);
@@ -344,7 +288,7 @@ mod tests {
     #[test]
     fn permuted_demands_hit_with_remapped_witness() {
         let planner = Floorplanner::default();
-        let mut cache = FeasibilityCache::new(planner, 16);
+        let cache = FeasibilityCache::new(planner, 16);
         let device = geo_device();
         let a = ResourceVec::new(600, 10, 20);
         let b = ResourceVec::new(400, 0, 0);
@@ -366,7 +310,7 @@ mod tests {
     #[test]
     fn infeasible_is_cached() {
         let planner = Floorplanner::default();
-        let mut cache = FeasibilityCache::new(planner.clone(), 16);
+        let cache = FeasibilityCache::new(planner.clone(), 16);
         // A 1-column, 1-row grid cannot host two 1-CLB regions in disjoint
         // rectangles.
         let device = Device {
@@ -394,7 +338,7 @@ mod tests {
 
     #[test]
     fn no_geometry_bypasses_the_cache() {
-        let mut cache = FeasibilityCache::new(Floorplanner::default(), 16);
+        let cache = FeasibilityCache::new(Floorplanner::default(), 16);
         let device = flat_device();
         let demands = vec![ResourceVec::new(5, 0, 0)];
         for _ in 0..3 {
@@ -406,7 +350,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_generationally() {
-        let mut cache = FeasibilityCache::new(Floorplanner::default(), 2);
+        let cache = FeasibilityCache::new(Floorplanner::default(), 2);
         let device = geo_device();
         for clb in 1..=5u64 {
             cache.check_device(&device, &[ResourceVec::new(clb * 50, 0, 0)]);
@@ -416,24 +360,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_agrees_with_unshared() {
-        let planner = Floorplanner::default();
-        let shared = SharedFeasibilityCache::new(planner.clone(), 16);
-        let device = geo_device();
-        let demands = vec![ResourceVec::new(600, 10, 20), ResourceVec::new(400, 0, 0)];
-        let cold = planner.check_device(&device, &demands);
-        assert_eq!(shared.check_device(&device, &demands), cold);
-        assert_eq!(shared.check_device(&device, &demands), cold);
-        assert_eq!(shared.stats(), CacheStats { hits: 1, misses: 1 });
-        // Clones share the same map.
-        let clone = shared.clone();
-        assert_eq!(clone.check_device(&device, &demands), cold);
-        assert_eq!(shared.stats().hits, 2);
-    }
-
-    #[test]
     fn different_geometries_do_not_alias() {
-        let mut cache = FeasibilityCache::new(Floorplanner::default(), 16);
+        let cache = FeasibilityCache::new(Floorplanner::default(), 16);
         let one_row = Device {
             geometry: Some(FabricGeometry {
                 columns: vec![FabricColumn::Clb],

@@ -119,7 +119,7 @@ proptest! {
                 })
         };
 
-        let mut cache = FeasibilityCache::new(planner(), DEFAULT_CACHE_CAPACITY);
+        let cache = FeasibilityCache::new(planner(), DEFAULT_CACHE_CAPACITY);
         for round in 0..2 {
             let got = cache.check_device(&device, &demands);
             prop_assert_eq!(got.is_feasible(), cold.is_feasible(), "round {round}");

@@ -131,14 +131,7 @@ impl PaScheduler {
         inst.validate()
             .map_err(|e| SchedError::InvalidInstance(e.to_string()))?;
 
-        let real_device = &inst.architecture.device;
-        let real_platform = inst.architecture.platform.as_ref();
-        // One owned device, ratcheted down in place — the restart loop no
-        // longer clones name/geometry per attempt. On platform instances a
-        // virtual platform shadows it in lockstep, so the per-fabric
-        // capacity checks shrink together with the relaxation device.
-        let mut virtual_device = real_device.clone();
-        let mut virtual_platform = inst.architecture.platform.clone();
+        let mut capacity = VirtualCapacity::of(inst);
         let mut scheduling_time = Duration::ZERO;
         let mut floorplanning_time = Duration::ZERO;
         let recorder = Arc::new(TraceRecorder::new());
@@ -150,23 +143,21 @@ impl PaScheduler {
         let hits0 = cancel.deadline_hits();
         // Per-call feasibility memo: within one call only Infeasible
         // verdicts can repeat, across ratchet attempts.
-        let mut cache = FeasibilityCache::new(self.planner.clone(), DEFAULT_CACHE_CAPACITY);
+        let cache = FeasibilityCache::new(self.planner.clone(), DEFAULT_CACHE_CAPACITY);
 
         // No phase-A memo here: the restart loop shrinks the capacity on
         // every retry, so no two attempts share a phase-A input.
-        let run_pipeline =
-            |ws: &mut SchedWorkspace, device: &Device, platform: Option<&Platform>| {
-                do_schedule_in(
-                    ws,
-                    inst,
-                    device,
-                    platform,
-                    &self.config,
-                    self.config.ordering,
-                    &observer,
-                    None,
-                )
-            };
+        let run_pipeline = |ws: &mut SchedWorkspace, capacity: &VirtualCapacity| {
+            do_schedule_in(
+                ws,
+                inst,
+                capacity,
+                &self.config,
+                self.config.ordering,
+                &observer,
+                None,
+            )
+        };
         let report_stats = |ws: &SchedWorkspace, cache: &FeasibilityCache| {
             let stats = cache.stats();
             observer.workspace_stats(ws.reuses(), stats.hits, stats.misses);
@@ -186,7 +177,7 @@ impl PaScheduler {
                 observer.pipeline_started(attempt);
                 runs = attempt;
                 let t0 = Instant::now();
-                let schedule = run_pipeline(ws, &virtual_device, virtual_platform.as_ref());
+                let schedule = run_pipeline(ws, &capacity);
                 scheduling_time += t0.elapsed();
 
                 // Poll before paying for the floorplanner: a deadline that
@@ -196,17 +187,11 @@ impl PaScheduler {
                     degraded = true;
                     break 'search;
                 }
-                let demands: Vec<ResourceVec> = schedule.regions.iter().map(|r| r.res).collect();
-                let fabrics: Vec<u32> = schedule.regions.iter().map(|r| r.fabric).collect();
                 let t1 = Instant::now();
                 // Memoized feasibility: a Feasible verdict ends the loop, so
                 // any Feasible witness returned below comes from a cold
-                // solve. Platform instances place each fabric's regions
-                // against that fabric's own device.
-                let outcome = match real_platform {
-                    Some(p) => cache.check_platform_cancel(p, &demands, &fabrics, cancel),
-                    None => cache.check_device_cancel(real_device, &demands, cancel),
-                };
+                // solve.
+                let outcome = check_floorplan(&cache, inst, &schedule, cancel);
                 let fp_elapsed = t1.elapsed();
                 floorplanning_time += fp_elapsed;
                 observer.phase_finished(Phase::Floorplan, fp_elapsed);
@@ -230,11 +215,7 @@ impl PaScheduler {
                     degraded = true;
                     break 'search;
                 }
-                let (num, den) = self.config.shrink_factor;
-                virtual_device.scale_capacity_in_place(num, den);
-                if let Some(p) = virtual_platform.as_mut() {
-                    p.scale_capacity_in_place(num, den);
-                }
+                capacity.shrink(self.config.shrink_factor);
             }
         }
 
@@ -245,11 +226,8 @@ impl PaScheduler {
         let attempts = runs + 1;
         observer.pipeline_started(attempts);
         let t0 = Instant::now();
-        virtual_device.max_res = ResourceVec::ZERO;
-        if let Some(p) = virtual_platform.as_mut() {
-            p.zero_capacity_in_place();
-        }
-        let schedule = run_pipeline(ws, &virtual_device, virtual_platform.as_ref());
+        capacity.zero();
+        let schedule = run_pipeline(ws, &capacity);
         scheduling_time += t0.elapsed();
         debug_assert!(schedule.regions.is_empty());
         report_stats(ws, &cache);
@@ -265,8 +243,67 @@ impl PaScheduler {
     }
 }
 
+/// The fabric capacity a pipeline run schedules against (§V-H).
+///
+/// PA's restart loop and PA-R's ratchet both start from the instance's
+/// real capacity and shrink it after a floorplan failure. One owned
+/// device is ratcheted down in place, so no attempt re-clones its name or
+/// geometry; on platform instances a virtual platform shadows it in
+/// lockstep, so the per-fabric capacity checks shrink together with the
+/// relaxation device.
+#[derive(Debug)]
+pub(crate) struct VirtualCapacity {
+    device: Device,
+    platform: Option<Platform>,
+}
+
+impl VirtualCapacity {
+    /// The real, unshrunk capacity of `inst`.
+    pub(crate) fn of(inst: &ProblemInstance) -> Self {
+        VirtualCapacity {
+            device: inst.architecture.device.clone(),
+            platform: inst.architecture.platform.clone(),
+        }
+    }
+
+    /// Scales every capacity by `num/den`.
+    pub(crate) fn shrink(&mut self, (num, den): (u64, u64)) {
+        self.device.scale_capacity_in_place(num, den);
+        if let Some(p) = self.platform.as_mut() {
+            p.scale_capacity_in_place(num, den);
+        }
+    }
+
+    /// Zeroes every capacity: the all-software fallback.
+    pub(crate) fn zero(&mut self) {
+        self.device.max_res = ResourceVec::ZERO;
+        if let Some(p) = self.platform.as_mut() {
+            p.zero_capacity_in_place();
+        }
+    }
+}
+
+/// Phase H: asks `cache` whether the regions of `schedule` admit a
+/// disjoint placement on the *real* fabric of `inst`. Platform instances
+/// place each fabric's regions against that fabric's own device.
+pub(crate) fn check_floorplan(
+    cache: &FeasibilityCache,
+    inst: &ProblemInstance,
+    schedule: &Schedule,
+    cancel: &CancelToken,
+) -> FloorplanOutcome {
+    let demands: Vec<ResourceVec> = schedule.regions.iter().map(|r| r.res).collect();
+    match inst.architecture.platform.as_ref() {
+        Some(p) => {
+            let fabrics: Vec<u32> = schedule.regions.iter().map(|r| r.fabric).collect();
+            cache.check_platform_cancel(p, &demands, &fabrics, cancel)
+        }
+        None => cache.check_device_cancel(&inst.architecture.device, &demands, cancel),
+    }
+}
+
 /// One run of the scheduling pipeline (phases A–G) against a virtual
-/// device capacity; shared by PA and PA-R (`doSchedule` in Algorithm 1).
+/// capacity; shared by PA and PA-R (`doSchedule` in Algorithm 1).
 /// `ws` supplies every heap structure of the run and receives them back
 /// afterwards, so a loop threading one workspace through repeated calls
 /// is allocation-free in the steady state.
@@ -275,27 +312,16 @@ impl PaScheduler {
 /// core (phases A–F, no timeline reservations), then phase G's timing
 /// realization is applied as one journaled batch commit — the seam the
 /// online repair engine builds on.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn do_schedule_in(
     ws: &mut SchedWorkspace,
     inst: &ProblemInstance,
-    virtual_device: &Device,
-    virtual_platform: Option<&Platform>,
+    capacity: &VirtualCapacity,
     config: &SchedulerConfig,
     ordering: OrderingPolicy,
     observer: &ObserverHandle,
     memo: Option<&mut ImplSelectMemo>,
 ) -> Schedule {
-    let state = solve_in(
-        ws,
-        inst,
-        virtual_device,
-        virtual_platform,
-        config,
-        ordering,
-        observer,
-        memo,
-    );
+    let state = solve_in(ws, inst, capacity, config, ordering, observer, memo);
 
     // Phase G — reconfiguration scheduling / timing realization: the only
     // point where decisions become timeline reservations (the commit).
@@ -308,17 +334,16 @@ pub(crate) fn do_schedule_in(
 /// the [`SchedState`] it returns — implementation choices, regions,
 /// sequencing arcs, core mappings — and reserves nothing on the controller
 /// timeline; the caller owns the commit (phase G).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_in<'a>(
     ws: &mut SchedWorkspace,
     inst: &'a ProblemInstance,
-    virtual_device: &'a Device,
-    virtual_platform: Option<&'a Platform>,
+    capacity: &'a VirtualCapacity,
     config: &SchedulerConfig,
     ordering: OrderingPolicy,
     observer: &ObserverHandle,
     memo: Option<&mut ImplSelectMemo>,
 ) -> SchedState<'a> {
+    let virtual_device = &capacity.device;
     // Phase A — implementation selection, into the workspace's buffer.
     // A memo hit replays the stored choice; phase A is deterministic in
     // `(inst, max_res)`, so the replay is byte-identical to re-running it.
@@ -360,7 +385,7 @@ pub(crate) fn solve_in<'a>(
         .expect("instance validated by the driver");
     observer.phase_finished(Phase::CriticalPath, t0.elapsed());
     state.module_reuse = config.module_reuse;
-    state.platform = virtual_platform;
+    state.platform = capacity.platform.as_ref();
     state.observer = observer.clone();
 
     // Fabric partition — assigns tasks to platform fabrics ahead of region

@@ -8,21 +8,26 @@
 //! capacity-shrinking restarts, unlike the deterministic PA). The search
 //! runs until a wall-clock budget or an iteration cap expires, whichever
 //! comes first, and returns the best feasible schedule found.
+//!
+//! One search loop serves every thread count: the serial entry runs it
+//! once, the parallel entry runs it on independent workers, each with its
+//! own seed, iteration share, workspace and incumbent, and keeps the best
+//! worker's result.
 
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use prfpga_floorplan::{
-    CacheStats, FeasibilityCache, FloorplanOutcome, Floorplanner, SharedFeasibilityCache,
-    DEFAULT_CACHE_CAPACITY,
+    CacheStats, FeasibilityCache, FloorplanOutcome, Floorplanner, DEFAULT_CACHE_CAPACITY,
 };
-use prfpga_model::{CancelToken, ProblemInstance, ResourceVec, Schedule, Time};
+use prfpga_model::{CancelToken, ProblemInstance, Schedule, Time};
 
 use crate::config::{OrderingPolicy, SchedulerConfig};
-use crate::driver::{do_schedule_in, ImplSelectMemo, PaScheduler};
+use crate::driver::{
+    check_floorplan, do_schedule_in, ImplSelectMemo, PaScheduler, VirtualCapacity,
+};
 use crate::error::SchedError;
 use crate::state::SchedWorkspace;
 use crate::trace::ObserverHandle;
@@ -43,14 +48,16 @@ pub struct ConvergencePoint {
 pub struct PaRResult {
     /// Best floorplan-feasible schedule found.
     pub schedule: Schedule,
-    /// Iterations executed.
+    /// Iterations executed (summed over the workers of a parallel run).
     pub iterations: usize,
     /// Every improvement, in order — the data behind the paper's Fig. 6.
+    /// A parallel run reports the winning worker's improvements, numbered
+    /// by that worker's own iterations.
     pub trace: Vec<ConvergencePoint>,
     /// Wall-clock of the whole search.
     pub elapsed: Duration,
     /// Pipeline runs that rewound the warm workspace instead of
-    /// re-allocating.
+    /// re-allocating (summed over the workers of a parallel run).
     pub workspace_reuses: u64,
     /// Floorplan-feasibility cache counters (all-zero when the device
     /// carries no geometry).
@@ -80,7 +87,48 @@ impl PaRResult {
     }
 }
 
+/// What one run of the search loop found.
+#[derive(Debug)]
+struct Search {
+    /// Best floorplan-feasible schedule, if any.
+    best: Option<Schedule>,
+    /// Every improvement of `best`, in order.
+    trace: Vec<ConvergencePoint>,
+    iterations: usize,
+    workspace_reuses: u64,
+    /// True when the token fired mid-search.
+    cancelled: bool,
+}
+
+impl Search {
+    fn makespan(&self) -> Time {
+        self.best.as_ref().map_or(Time::MAX, Schedule::makespan)
+    }
+
+    /// Folds the search of a later worker into this one: the incumbent
+    /// (and its convergence trace) with the least makespan wins, ties
+    /// going to the earlier worker; counters add up.
+    fn merge(self, later: Search) -> Search {
+        let (mut kept, other) = if later.makespan() < self.makespan() {
+            (later, self)
+        } else {
+            (self, later)
+        };
+        kept.iterations += other.iterations;
+        kept.workspace_reuses += other.workspace_reuses;
+        kept.cancelled |= other.cancelled;
+        kept
+    }
+}
+
 /// The randomized scheduler (*PA-R*).
+///
+/// For a fixed `(seed, max_iterations, threads)` the result is
+/// deterministic when the iteration cap, not the wall-clock budget or a
+/// deadline, ends the search and no floorplan verdict ends on the
+/// solver's wall-clock limit (a `Timeout`). Every other verdict is exact,
+/// so the feasibility cache the workers share cannot change any worker's
+/// trajectory; only its hit/miss counters depend on thread timing.
 #[derive(Debug, Clone, Default)]
 pub struct PaRScheduler {
     config: SchedulerConfig,
@@ -133,9 +181,92 @@ impl PaRScheduler {
     ) -> Result<PaRResult, SchedError> {
         inst.validate()
             .map_err(|e| SchedError::InvalidInstance(e.to_string()))?;
+        let counters0 = (cancel.polls(), cancel.deadline_hits());
+        let start = Instant::now();
+        let cache = self.cache();
+        let search = self.search(
+            inst,
+            cancel,
+            self.config.seed,
+            self.config.max_iterations,
+            start,
+            ws,
+            &cache,
+        );
+        self.finish(inst, cancel, counters0, start, &cache, search)
+    }
 
-        let polls0 = cancel.polls();
-        let hits0 = cancel.deadline_hits();
+    /// Parallel PA-R: the search of
+    /// [`schedule_with_cancel`](Self::schedule_with_cancel) on `threads`
+    /// scoped workers (at least one).
+    ///
+    /// Worker `w` searches from seed `config.seed + w·0x9E37` for
+    /// `max_iterations.div_ceil(threads)` iterations (unbounded when
+    /// `max_iterations` is 0) against its own workspace and incumbent; all
+    /// workers share one feasibility cache, one wall-clock budget and
+    /// `cancel`. The call returns the incumbent with the least
+    /// `(makespan, w)` together with that worker's convergence trace;
+    /// `iterations` and `workspace_reuses` sum over the workers, and
+    /// `degraded` is set when `cancel` stopped any of them. With no
+    /// feasible incumbent anywhere, the deterministic PA runs once under
+    /// the same token. With `threads == 1` the result equals
+    /// [`schedule_with_cancel`](Self::schedule_with_cancel)'s.
+    pub fn schedule_parallel_with_cancel(
+        &self,
+        inst: &ProblemInstance,
+        threads: usize,
+        cancel: &CancelToken,
+    ) -> Result<PaRResult, SchedError> {
+        inst.validate()
+            .map_err(|e| SchedError::InvalidInstance(e.to_string()))?;
+        let threads = threads.max(1);
+        let counters0 = (cancel.polls(), cancel.deadline_hits());
+        let start = Instant::now();
+        let cache = self.cache();
+        let cap = self.config.max_iterations.div_ceil(threads);
+        let search = crossbeam::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|w| {
+                    let cache = &cache;
+                    scope.spawn(move |_| {
+                        let seed = self.config.seed.wrapping_add(w as u64 * 0x9E37);
+                        let mut ws = SchedWorkspace::new();
+                        self.search(inst, cancel, seed, cap, start, &mut ws, cache)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|h| h.join().expect("PA-R worker panicked"))
+                .reduce(Search::merge)
+                .expect("at least one worker")
+        })
+        .expect("PA-R worker panicked");
+        self.finish(inst, cancel, counters0, start, &cache, search)
+    }
+
+    /// The feasibility cache one call's searches share.
+    fn cache(&self) -> FeasibilityCache {
+        FeasibilityCache::new(
+            Floorplanner::new(self.config.floorplan.clone()),
+            DEFAULT_CACHE_CAPACITY,
+        )
+    }
+
+    /// The search loop of Algorithm 1: from `seed`, for at most
+    /// `max_iterations` iterations (0 = unbounded) and `config.time_budget`
+    /// after `start`, against `ws`.
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        &self,
+        inst: &ProblemInstance,
+        cancel: &CancelToken,
+        seed: u64,
+        max_iterations: usize,
+        start: Instant,
+        ws: &mut SchedWorkspace,
+        cache: &FeasibilityCache,
+    ) -> Search {
         // Virtual capacity ratchet: Algorithm 1 discards floorplan-
         // infeasible candidates outright, but a pipeline run that packs the
         // fabric to 100% is *systematically* unplaceable on a column grid,
@@ -143,69 +274,58 @@ impl PaRScheduler {
         // Whenever an improving candidate fails the floorplan, subsequent
         // iterations schedule against a shrunken virtual capacity — the
         // same lever the deterministic PA's restart loop uses (§V-H).
-        let mut virtual_device = inst.architecture.device.clone();
-        let mut virtual_platform = inst.architecture.platform.clone();
+        let mut capacity = VirtualCapacity::of(inst);
         let mut shrinks_left = self.config.max_attempts.max(1);
-        let start = Instant::now();
         let deadline = start + self.config.time_budget;
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
-        // One workspace and one feasibility cache persist across every
-        // iteration (verdicts are exact, so the cache cannot perturb the
-        // search trajectory).
+        // One workspace and one phase-A memo persist across every
+        // iteration; the cache's verdicts are exact, so it cannot perturb
+        // the search trajectory.
         let mut memo = ImplSelectMemo::default();
-        let mut cache = FeasibilityCache::new(
-            Floorplanner::new(self.config.floorplan.clone()),
-            DEFAULT_CACHE_CAPACITY,
-        );
         let noop = ObserverHandle::noop();
 
-        let mut best: Option<Schedule> = None;
-        let mut best_makespan = Time::MAX;
-        let mut trace = Vec::new();
-        let mut iterations = 0usize;
-        let mut cancelled = false;
-
+        let mut search = Search {
+            best: None,
+            trace: Vec::new(),
+            iterations: 0,
+            workspace_reuses: 0,
+            cancelled: false,
+        };
         loop {
-            if self.config.max_iterations > 0 && iterations >= self.config.max_iterations {
+            if max_iterations > 0 && search.iterations >= max_iterations {
                 break;
             }
             // Always run at least one iteration so a zero budget still
             // returns a schedule.
-            if iterations > 0 && Instant::now() >= deadline {
+            if search.iterations > 0 && Instant::now() >= deadline {
                 break;
             }
             if cancel.is_cancelled() {
-                cancelled = true;
+                search.cancelled = true;
                 break;
             }
-            iterations += 1;
+            search.iterations += 1;
             let order_seed: u64 = rng.random();
             let ordering = OrderingPolicy::RandomizedNonCritical(order_seed);
             let schedule = do_schedule_in(
                 ws,
                 inst,
-                &virtual_device,
-                virtual_platform.as_ref(),
+                &capacity,
                 &self.config,
                 ordering,
                 &noop,
                 Some(&mut memo),
             );
             let makespan = schedule.makespan();
-            if makespan < best_makespan {
+            if makespan < search.makespan() {
                 // Pay for the floorplanner only on improvement (Algorithm 1).
-                let demands: Vec<ResourceVec> = schedule.regions.iter().map(|r| r.res).collect();
-                let fabrics: Vec<u32> = schedule.regions.iter().map(|r| r.fabric).collect();
-                let outcome = match inst.architecture.platform.as_ref() {
-                    Some(p) => cache.check_platform_cancel(p, &demands, &fabrics, cancel),
-                    None => cache.check_device_cancel(&inst.architecture.device, &demands, cancel),
-                };
-                if let FloorplanOutcome::Feasible(_) = outcome {
-                    best_makespan = makespan;
-                    best = Some(schedule);
-                    trace.push(ConvergencePoint {
-                        iteration: iterations,
+                if let FloorplanOutcome::Feasible(_) =
+                    check_floorplan(cache, inst, &schedule, cancel)
+                {
+                    search.best = Some(schedule);
+                    search.trace.push(ConvergencePoint {
+                        iteration: search.iterations,
                         elapsed: start.elapsed(),
                         makespan,
                     });
@@ -214,195 +334,56 @@ impl PaRScheduler {
                     // mid-solve is a Timeout, not a capacity statement:
                     // break before it can consume a ratchet shrink.
                     if cancel.is_cancelled() {
-                        cancelled = true;
+                        search.cancelled = true;
                         break;
                     }
                     if shrinks_left > 0 {
-                        let (num, den) = self.config.shrink_factor;
-                        virtual_device.scale_capacity_in_place(num, den);
-                        if let Some(p) = virtual_platform.as_mut() {
-                            p.scale_capacity_in_place(num, den);
-                        }
+                        capacity.shrink(self.config.shrink_factor);
                         shrinks_left -= 1;
                     }
                 }
             }
         }
+        search.workspace_reuses = ws.reuses();
+        search
+    }
 
-        let workspace_reuses = ws.reuses();
+    /// Turns `search` into the call's result. Without a feasible
+    /// incumbent — every random candidate was floorplan-infeasible, or the
+    /// token fired before one could be checked — it falls back to the
+    /// deterministic PA, whose shrinking loop always terminates with a
+    /// feasible (possibly all-software, possibly degraded) schedule. The
+    /// token is passed through, so a fired deadline short-circuits the
+    /// fallback to PA's bounded degraded path.
+    fn finish(
+        &self,
+        inst: &ProblemInstance,
+        cancel: &CancelToken,
+        (polls0, hits0): (u64, u64),
+        start: Instant,
+        cache: &FeasibilityCache,
+        search: Search,
+    ) -> Result<PaRResult, SchedError> {
         let fp_cache = cache.stats();
-        let counters = |c: &CancelToken| (c.polls() - polls0, c.deadline_hits() - hits0);
-        match best {
-            Some(schedule) => {
-                let (cancel_polls, deadline_hits) = counters(cancel);
-                Ok(PaRResult {
-                    schedule,
-                    iterations,
-                    trace,
-                    elapsed: start.elapsed(),
-                    workspace_reuses,
-                    fp_cache,
-                    degraded: cancelled,
-                    cancel_polls,
-                    deadline_hits,
-                })
-            }
-            // Every random candidate was floorplan-infeasible (or the token
-            // fired before one could be checked): fall back to the
-            // deterministic PA, whose shrinking loop always terminates with
-            // a feasible (possibly all-software, possibly degraded)
-            // schedule. The token is passed through, so a fired deadline
-            // short-circuits the fallback to PA's bounded degraded path.
+        let (schedule, degraded) = match search.best {
+            Some(schedule) => (schedule, search.cancelled),
             None => {
                 let pa =
                     PaScheduler::new(self.config.clone()).schedule_with_cancel(inst, cancel)?;
-                let (cancel_polls, deadline_hits) = counters(cancel);
-                Ok(PaRResult {
-                    schedule: pa.schedule,
-                    iterations,
-                    trace,
-                    elapsed: start.elapsed(),
-                    workspace_reuses,
-                    fp_cache,
-                    degraded: cancelled || pa.degraded,
-                    cancel_polls,
-                    deadline_hits,
-                })
+                (pa.schedule, search.cancelled || pa.degraded)
             }
-        }
-    }
-
-    /// Parallel PA-R: `threads` workers explore disjoint seed streams and
-    /// share the incumbent under a mutex. The result is deterministic for
-    /// a fixed `(seed, max_iterations, threads)` triple when the iteration
-    /// cap is used (each worker owns an equal slice of the iteration
-    /// budget); under a pure wall-clock budget the outcome depends on
-    /// timing, as in any anytime search.
-    pub fn schedule_parallel(
-        &self,
-        inst: &ProblemInstance,
-        threads: usize,
-    ) -> Result<Schedule, SchedError> {
-        self.schedule_parallel_with_cancel(inst, threads, &CancelToken::never())
-    }
-
-    /// [`schedule_parallel`](Self::schedule_parallel) honouring a
-    /// cooperative [`CancelToken`] shared by all workers: each worker polls
-    /// it once per iteration (poll counts aggregate across workers) and
-    /// stops as soon as it fires. The incumbent at cancellation time is
-    /// returned; with none, the deterministic PA's (possibly degraded)
-    /// fallback runs under the same token.
-    pub fn schedule_parallel_with_cancel(
-        &self,
-        inst: &ProblemInstance,
-        threads: usize,
-        cancel: &CancelToken,
-    ) -> Result<Schedule, SchedError> {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return self.schedule_with_cancel(inst, cancel).map(|r| r.schedule);
-        }
-        inst.validate()
-            .map_err(|e| SchedError::InvalidInstance(e.to_string()))?;
-
-        let best: Mutex<(Time, Option<Schedule>)> = Mutex::new((Time::MAX, None));
-        let deadline = Instant::now() + self.config.time_budget;
-        let per_worker_iters = if self.config.max_iterations > 0 {
-            self.config.max_iterations.div_ceil(threads)
-        } else {
-            0
         };
-        // All workers share one feasibility cache (solves happen outside
-        // its lock); each owns a private workspace. Verdicts are exact, so
-        // sharing cannot perturb any worker's search trajectory.
-        let shared_cache = SharedFeasibilityCache::new(
-            Floorplanner::new(self.config.floorplan.clone()),
-            DEFAULT_CACHE_CAPACITY,
-        );
-
-        crossbeam::thread::scope(|scope| {
-            for w in 0..threads {
-                let best = &best;
-                let config = &self.config;
-                let cache = shared_cache.clone();
-                let inst = &*inst;
-                scope.spawn(move |_| {
-                    let mut rng =
-                        ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(w as u64 * 0x9E37));
-                    // Per-worker capacity ratchet (see schedule_detailed).
-                    let mut virtual_device = inst.architecture.device.clone();
-                    let mut virtual_platform = inst.architecture.platform.clone();
-                    let mut shrinks_left = config.max_attempts.max(1);
-                    let mut ws = SchedWorkspace::new();
-                    let mut memo = ImplSelectMemo::default();
-                    let noop = ObserverHandle::noop();
-                    let mut iters = 0usize;
-                    loop {
-                        if per_worker_iters > 0 && iters >= per_worker_iters {
-                            break;
-                        }
-                        if iters > 0 && Instant::now() >= deadline {
-                            break;
-                        }
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        iters += 1;
-                        let order_seed: u64 = rng.random();
-                        let ordering = OrderingPolicy::RandomizedNonCritical(order_seed);
-                        let schedule = do_schedule_in(
-                            &mut ws,
-                            inst,
-                            &virtual_device,
-                            virtual_platform.as_ref(),
-                            config,
-                            ordering,
-                            &noop,
-                            Some(&mut memo),
-                        );
-                        let makespan = schedule.makespan();
-                        if makespan < best.lock().0 {
-                            let demands: Vec<ResourceVec> =
-                                schedule.regions.iter().map(|r| r.res).collect();
-                            let fabrics: Vec<u32> =
-                                schedule.regions.iter().map(|r| r.fabric).collect();
-                            let outcome = match inst.architecture.platform.as_ref() {
-                                Some(p) => {
-                                    cache.check_platform_cancel(p, &demands, &fabrics, cancel)
-                                }
-                                None => cache.check_device_cancel(
-                                    &inst.architecture.device,
-                                    &demands,
-                                    cancel,
-                                ),
-                            };
-                            if let FloorplanOutcome::Feasible(_) = outcome {
-                                let mut guard = best.lock();
-                                if makespan < guard.0 {
-                                    *guard = (makespan, Some(schedule));
-                                }
-                            } else if shrinks_left > 0 {
-                                let (num, den) = config.shrink_factor;
-                                virtual_device.scale_capacity_in_place(num, den);
-                                if let Some(p) = virtual_platform.as_mut() {
-                                    p.scale_capacity_in_place(num, den);
-                                }
-                                shrinks_left -= 1;
-                            }
-                        }
-                    }
-                });
-            }
+        Ok(PaRResult {
+            schedule,
+            iterations: search.iterations,
+            trace: search.trace,
+            elapsed: start.elapsed(),
+            workspace_reuses: search.workspace_reuses,
+            fp_cache,
+            degraded,
+            cancel_polls: cancel.polls() - polls0,
+            deadline_hits: cancel.deadline_hits() - hits0,
         })
-        .expect("PA-R worker panicked");
-
-        let (_, found) = best.into_inner();
-        match found {
-            Some(s) => Ok(s),
-            None => PaScheduler::new(self.config.clone())
-                .schedule_with_cancel(inst, cancel)
-                .map(|r| r.schedule),
-        }
     }
 }
 
@@ -482,8 +463,74 @@ mod tests {
     fn parallel_variant_returns_valid_schedules() {
         let inst = instance(20, 23);
         let par = PaRScheduler::new(config_iters(8));
-        let s = par.schedule_parallel(&inst, 4).unwrap();
-        validate_schedule(&inst, &s).expect("valid");
+        let r = par
+            .schedule_parallel_with_cancel(&inst, 4, &CancelToken::never())
+            .unwrap();
+        assert_eq!(r.iterations, 8, "four workers, two iterations each");
+        validate_schedule(&inst, &r.schedule).expect("valid");
+    }
+
+    /// A geometry-free `zedboard_pr` instance: every floorplan verdict is
+    /// exact, so parallel PA-R must be deterministic on it.
+    fn geometry_free_instance() -> ProblemInstance {
+        let mut inst = TaskGraphGenerator::new(3).generate(
+            "par_oracle",
+            &GraphConfig::standard(20),
+            Architecture::zedboard_pr(),
+        );
+        inst.architecture.device.geometry = None;
+        inst
+    }
+
+    fn convergence(r: &PaRResult) -> Vec<(usize, Time)> {
+        r.trace.iter().map(|p| (p.iteration, p.makespan)).collect()
+    }
+
+    #[test]
+    fn parallel_result_is_the_best_of_independent_serial_runs() {
+        let inst = geometry_free_instance();
+        let (threads, iters) = (4usize, 64usize);
+        let config = config_iters(iters);
+        // Oracle: worker w is the serial search from its own seed over its
+        // share of the iterations; the least (makespan, w) wins.
+        let serial: Vec<PaRResult> = (0..threads)
+            .map(|w| {
+                PaRScheduler::new(SchedulerConfig {
+                    seed: config.seed.wrapping_add(w as u64 * 0x9E37),
+                    max_iterations: iters.div_ceil(threads),
+                    ..config.clone()
+                })
+                .schedule_detailed(&inst)
+                .unwrap()
+            })
+            .collect();
+        let winner = (0..threads)
+            .min_by_key(|&w| (serial[w].schedule.makespan(), w))
+            .unwrap();
+
+        let par = PaRScheduler::new(config);
+        for repeat in 0..5 {
+            let r = par
+                .schedule_parallel_with_cancel(&inst, threads, &CancelToken::never())
+                .unwrap();
+            assert_eq!(r.schedule, serial[winner].schedule, "repeat {repeat}");
+            assert_eq!(convergence(&r), convergence(&serial[winner]));
+            assert_eq!(r.iterations, serial.iter().map(|s| s.iterations).sum());
+            assert!(!r.degraded);
+        }
+    }
+
+    #[test]
+    fn one_parallel_worker_is_the_serial_search() {
+        let inst = geometry_free_instance();
+        let par = PaRScheduler::new(config_iters(16));
+        let serial = par.schedule_detailed(&inst).unwrap();
+        let one = par
+            .schedule_parallel_with_cancel(&inst, 1, &CancelToken::never())
+            .unwrap();
+        assert_eq!(one.schedule, serial.schedule);
+        assert_eq!(one.iterations, serial.iterations);
+        assert_eq!(convergence(&one), convergence(&serial));
     }
 
     #[test]

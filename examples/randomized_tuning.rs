@@ -2,7 +2,8 @@
 //!
 //! Reproduces the paper's Figure-6 methodology on one instance: run PA-R
 //! with growing budgets and watch the best schedule improve, then compare
-//! the single-thread search against the crossbeam-parallel variant.
+//! the single-thread search against parallel workers running the same
+//! search from different seeds.
 //!
 //! Run with: `cargo run --release --example randomized_tuning`
 
@@ -68,7 +69,8 @@ fn main() {
         );
     }
 
-    // Parallel search: same wall-clock budget, more workers.
+    // Parallel search: same wall-clock budget, more workers. Each worker
+    // runs the serial search from its own seed; the best worker wins.
     println!("\nparallel PA-R (200 ms budget):");
     for threads in [1usize, 4] {
         let cfg = SchedulerConfig {
@@ -77,13 +79,14 @@ fn main() {
             ..Default::default()
         };
         let t0 = Instant::now();
-        let s = PaRScheduler::new(cfg)
-            .schedule_parallel(&instance, threads)
+        let r = PaRScheduler::new(cfg)
+            .schedule_parallel_with_cancel(&instance, threads, &CancelToken::never())
             .unwrap();
-        validate_schedule(&instance, &s).expect("valid");
+        validate_schedule(&instance, &r.schedule).expect("valid");
         println!(
-            "  {threads} thread(s): makespan {} ticks in {:.0} ms",
-            s.makespan(),
+            "  {threads} thread(s): makespan {} ticks after {} iterations in {:.0} ms",
+            r.schedule.makespan(),
+            r.iterations,
             t0.elapsed().as_secs_f64() * 1e3
         );
     }
